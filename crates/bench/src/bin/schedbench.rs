@@ -295,8 +295,7 @@ fn main() {
     let mut aco_times: HashMap<(String, usize), f64> = HashMap::new();
     let largest_scale = SCALES
         .iter()
-        .filter(|(l, _)| scales.iter().any(|s| s == l))
-        .next_back()
+        .rfind(|(l, _)| scales.iter().any(|s| s == l))
         .map(|&(l, d)| (l.to_string(), d));
 
     for (label, divisor) in SCALES {

@@ -29,10 +29,10 @@ pub struct CommonOpts {
     pub threads: Option<usize>,
     /// Simulation engine (`--engine sequential|sharded`). The sharded
     /// engine replays every CLI scenario — including fault injection
-    /// (`--faults`) and recovery, which run on its epoch-sharded driver —
-    /// with results bit-identical to the sequential kernel. The one shape
-    /// it hands back (workflow DAGs) is reported on stderr via the
-    /// outcome's explicit fallback record, never switched silently.
+    /// (`--faults`), recovery and workflow DAGs — with results
+    /// bit-identical to the sequential kernel. A fallback, should one
+    /// ever be recorded on the outcome, is reported on stderr rather
+    /// than switched silently.
     pub engine: EngineKind,
     /// Optional chaos campaign (`--faults hosts=0.25,fail=500..8000,...`),
     /// turned into a seeded [`simcloud::faults::FaultPlan`] over the
@@ -190,11 +190,15 @@ pub fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), String
             "--backfill" => opts.vm_scheduler = SchedulerKind::SpaceSharedBackfill,
             "--time-shared" => opts.vm_scheduler = SchedulerKind::TimeShared,
             "--sla-slack" => {
-                opts.sla_slack = Some(
-                    take("--sla-slack")?
-                        .parse()
-                        .map_err(|e| format!("bad --sla-slack: {e}"))?,
-                )
+                let slack: f64 = take("--sla-slack")?
+                    .parse()
+                    .map_err(|e| format!("bad --sla-slack: {e}"))?;
+                if !(slack.is_finite() && slack > 0.0) {
+                    return Err(format!(
+                        "bad --sla-slack: {slack} (must be a finite number > 0)"
+                    ));
+                }
+                opts.sla_slack = Some(slack);
             }
             "--csv" => opts.csv = Some(take("--csv")?),
             "--threads" => {
@@ -383,6 +387,16 @@ mod tests {
             parse_common(&[]).unwrap().0.sched_params,
             biosched_core::tuning::SchedTuning::default()
         );
+    }
+
+    #[test]
+    fn sla_slack_must_be_finite_and_positive() {
+        for bad in ["-1", "0", "nan", "inf", "-inf", "x"] {
+            let err = parse_common(&args(&format!("--sla-slack {bad}"))).unwrap_err();
+            assert!(err.starts_with("bad --sla-slack"), "{bad}: {err}");
+        }
+        let (opts, _) = parse_common(&args("--sla-slack 0.5")).unwrap();
+        assert_eq!(opts.sla_slack, Some(0.5));
     }
 
     #[test]

@@ -262,13 +262,16 @@ enum ColonyEngine {
         eta_pow: Option<Vec<f64>>,
         weight_block: Option<Vec<f64>>,
     },
-    /// Candidate-list fast path: per-batch [`CandidateBlock`] plus the
-    /// sampling-mode-specific row or alias caches.
-    Topk {
-        block: CandidateBlock,
-        rows: Option<CandidateRows>,
-        alias: Option<AliasTables>,
-    },
+    /// Candidate-list fast path (boxed: built once per colony run).
+    Topk(Box<TopkCaches>),
+}
+
+/// Per-batch [`CandidateBlock`] plus the sampling-mode-specific row or
+/// alias caches of the candidate-list path.
+struct TopkCaches {
+    block: CandidateBlock,
+    rows: Option<CandidateRows>,
+    alias: Option<AliasTables>,
 }
 
 impl ColonyState {
@@ -338,7 +341,7 @@ impl ColonyState {
             best: None,
             scratch: TourScratch::new(v),
             slots,
-            engine: ColonyEngine::Topk { block, rows, alias },
+            engine: ColonyEngine::Topk(Box::new(TopkCaches { block, rows, alias })),
         }
     }
 
@@ -402,7 +405,8 @@ impl ColonyState {
                         .collect()
                 }
             }
-            ColonyEngine::Topk { block, rows, alias } => {
+            ColonyEngine::Topk(topk) => {
+                let TopkCaches { block, rows, alias } = &mut **topk;
                 self.pheromone.prepare_pow_incremental(params.alpha);
                 if let Some(rows) = rows.as_mut() {
                     rows.refresh(&self.pheromone, block);

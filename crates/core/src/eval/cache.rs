@@ -721,7 +721,7 @@ mod tests {
         let k = 3;
         let block = cache.candidate_block(0..40, k, 0.99);
         assert_eq!(block.k(), k);
-        let mut covered = vec![false; 10];
+        let mut covered = [false; 10];
         for s in 0..4 {
             for &vm in block.row(s) {
                 covered[vm as usize] = true;
@@ -750,7 +750,7 @@ mod tests {
         let p = SchedulingProblem::single_datacenter(vms, cloudlets, CostModel::default());
         let cache = EvalCache::lite(&p);
         let block = cache.candidate_block(0..64, 4, 0.99);
-        let mut appearances = vec![0usize; 16];
+        let mut appearances = [0usize; 16];
         for s in 0..64 {
             for &vm in block.row(s) {
                 appearances[vm as usize] += 1;

@@ -338,9 +338,10 @@ impl Broker {
     /// that path because child submissions depend on return order, and so
     /// do resubmission runs, where a rebind may interleave with a group.
     fn submit_all_batched(&mut self, world: &mut World, ctx: &mut Context<'_>) {
-        let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
-        let mut group_of: std::collections::HashMap<(u32, u64), usize> =
-            std::collections::HashMap::new();
+        // One `(VM, delay bits, cloudlet)` key per live cloudlet. Sorting
+        // brings each (VM, delay) group together, its cloudlets in index
+        // order, in 16 bytes per cloudlet.
+        let mut keyed: Vec<(u32, u64, u32)> = Vec::with_capacity(self.assignment.len());
         for idx in 0..self.assignment.len() {
             let cloudlet = CloudletId::from_index(idx);
             let vm_id = self.assignment[idx];
@@ -362,37 +363,33 @@ impl Broker {
                 .unwrap_or(SimTime::ZERO);
             world.cloudlet_mut(cloudlet).submit_time = Some(ctx.now + wait);
             let delay = wait + latency + in_delay;
-            let slot = *group_of
-                .entry((vm_id.0, delay.as_millis().to_bits()))
-                .or_insert_with(|| {
-                    groups.push((vm_id, delay, Vec::new()));
-                    groups.len() - 1
-                });
-            groups[slot].2.push(cloudlet);
+            keyed.push((vm_id.0, delay.as_millis().to_bits(), cloudlet.0));
         }
-        for (vm_id, delay, mut cloudlets) in groups {
+        keyed.sort_unstable();
+        // Groups go out in order of their first cloudlet.
+        let mut groups: Vec<&[(u32, u64, u32)]> =
+            keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
+        groups.sort_unstable_by_key(|group| group[0].2);
+        for group in groups {
+            let (vm, delay_bits, first) = group[0];
+            let vm_id = VmId(vm);
             let dc = world.vm(vm_id).datacenter.expect("grouped VM is placed");
-            let dest = self.dc_entities[dc.index()];
-            if cloudlets.len() == 1 {
-                let cloudlet = cloudlets.pop().expect("length checked");
-                ctx.send(
-                    dest,
-                    delay,
-                    Event::CloudletSubmit {
-                        cloudlet,
-                        vm: vm_id,
-                    },
-                );
+            let event = if group.len() == 1 {
+                Event::CloudletSubmit {
+                    cloudlet: CloudletId(first),
+                    vm: vm_id,
+                }
             } else {
-                ctx.send(
-                    dest,
-                    delay,
-                    Event::CloudletSubmitBatch {
-                        vm: vm_id,
-                        cloudlets,
-                    },
-                );
-            }
+                Event::CloudletSubmitBatch {
+                    vm: vm_id,
+                    cloudlets: group.iter().map(|&(_, _, c)| CloudletId(c)).collect(),
+                }
+            };
+            ctx.send(
+                self.dc_entities[dc.index()],
+                SimTime::new(f64::from_bits(delay_bits)),
+                event,
+            );
         }
     }
 

@@ -1,663 +1,97 @@
 //! The sharded simulation engine.
 //!
-//! Two parallel replay paths live here, both bit-identical to the
-//! sequential kernel at any thread count (the engine-equivalence suite
-//! enforces this across seeds, scheduler flavours, fault plans, recovery
-//! policies and resubmission):
+//! One driver ([`run`]) replays every workload shape — plain batches,
+//! staggered arrivals, fault injection, recovery, resubmission and
+//! workflow DAGs — bit-identically to the sequential kernel at any thread
+//! count (the engine-equivalence suite enforces this across seeds,
+//! scheduler flavours, fault plans, recovery policies, resubmission and
+//! DAG shapes).
 //!
-//! 1. **Free-running replay** ([`run`]) for the paper's dominant shape —
-//!    a pre-computed cloudlet→VM assignment with no fault injection, no
-//!    recovery and no resubmission. Every VM's timeline is independent of
-//!    every other VM's once placement has happened, so the fleet is
-//!    partitioned into contiguous shards that replay to completion on
-//!    rayon workers with no synchronisation at all.
+//! The driver runs the *real* [`crate::broker::Broker`] and
+//! [`crate::datacenter::Datacenter`] entities against the real event
+//! queue. Events pop in kernel order; VM-local deliveries (submissions
+//! and submission batches to live VMs, settle ticks) are staged into
+//! per-VM *lanes*, and everything else is a *control* event handled
+//! sequentially by the entity code. Staged lanes replay in parallel
+//! ([`replay_lane`], the one per-VM replay loop) up to a [`Bound`]:
 //!
-//! 2. **Epoch-sharded replay** ([`run_epochs`]) for fault-injected,
-//!    recovering and resubmitting scenarios. The run alternates between
-//!    *control instants* — host failures and repairs, VM degrades, retry
-//!    wake-ups, submissions landing on dead VMs — handled sequentially by
-//!    the *real* [`crate::broker::Broker`] and [`crate::datacenter`]
-//!    entities, and *bulk epochs* in between, where every VM's local
-//!    events (submissions to live VMs, settle ticks, completions) replay
-//!    in parallel up to the next control instant. Determinism holds
-//!    because the event queue's `(time, seq)` order already sorts every
-//!    control event against everything staged before it, cross-VM effects
-//!    only ever originate at control instants, and the per-VM replay
-//!    reproduces the queue's tick-coalescing rules with a one-slot
-//!    `armed` deadline. See DESIGN.md §"Epoch-sharded replay" for the
-//!    full horizon rule and ordering argument.
+//! * [`Bound::Control`] — before a control event (host failure or
+//!   repair, VM degrade, retry wake-up, placement traffic, a submission
+//!   landing on a dead VM), every lane replays up to that instant.
+//! * [`Bound::Round`] — with workflow DAGs, a *release barrier* bounds
+//!   replay by the earliest completion that can still release a cross-VM
+//!   child; a release round replays every lane up to it and delivers
+//!   matured completions to the broker, which performs the release.
+//!   Children whose parents all live on their own VM resolve inside the
+//!   lane instead (the broker's pending-parent counter for such a child is
+//!   masked so it is never double-released).
+//! * [`Bound::All`] — once the queue is drained and no release is
+//!   pending, every lane replays to completion. A plain batch run is
+//!   placement control events followed by one such flush.
 //!
-//! 3. **Dependency-aware epochs** ([`run_epochs_dag`]) for workflow
-//!    DAGs, with or without fault shaping. A dependency edge can release
-//!    a successor at any completion, so the driver replaces the
-//!    next-control horizon with a *release barrier*: replay is bounded by
-//!    the earliest completion notification that can still release a
-//!    cross-VM child. Releases whose children live on the **same VM** as
-//!    every parent never cross the barrier at all — they resolve inside
-//!    the VM's local replay (the broker's pending-parent counter for such
-//!    a child is masked so it is never double-released), which is what
-//!    lets co-located pipelines replay whole chains in one pass. See
-//!    DESIGN.md §"Dependency-aware epochs" for the barrier soundness and
-//!    determinism argument.
-//!
-//! Every workload shape now has a parallel path; `EngineFallback` is no
-//! longer produced by any scenario.
+//! Determinism holds because the queue's `(time, seq)` order sorts every
+//! control event against everything staged before it, lanes commit in
+//! ascending VM order on one thread, and the lane replay reproduces the
+//! queue's tick coalescing with a one-slot `armed` deadline. See
+//! DESIGN.md §"Epoch-sharded replay" and §"Dependency-aware epochs" for
+//! the horizon rule, the barrier and the ordering argument.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
 use crate::broker::Broker;
-use crate::characteristics::CostModel;
 use crate::cloudlet::{Cloudlet, CloudletStatus};
-use crate::cloudlet_sched::{CloudletScheduler, RunningCloudlet, SchedulerKind};
+use crate::cloudlet_sched::{CloudletScheduler, RunningCloudlet};
 use crate::cost::cloudlet_cost;
-use crate::datacenter::{Datacenter, DatacenterBlueprint};
+use crate::datacenter::Datacenter;
 use crate::event::{Event, EventQueue, ScheduledEvent};
-use crate::host::Host;
-use crate::ids::{CloudletId, DatacenterId, EntityId, HostId, VmId};
+use crate::ids::{CloudletId, DatacenterId, EntityId, VmId};
 use crate::kernel::{Context, Entity, RunStats, World};
 use crate::network::{transfer_time, Topology};
 use crate::time::SimTime;
 use crate::vm::Vm;
 
-/// Per-datacenter data the per-VM replay needs after placement.
-struct DcInfo {
-    scheduler: SchedulerKind,
-    cost: CostModel,
+/// The completions one flush committed, in delivery order: sorted by
+/// return time, ties in commit order. Consumed from `next`.
+struct ReturnRun {
+    /// Flush number: orders same-instant completions of different flushes
+    /// (an earlier flush committed them first).
+    flush: u64,
+    items: Vec<(SimTime, CloudletId)>,
+    next: usize,
 }
 
-/// Finished-cloudlet result produced by a shard.
-struct Update {
-    id: CloudletId,
-    start: SimTime,
-    finish: SimTime,
-    cost: f64,
-}
-
-/// Everything a shard reports back for the deterministic merge.
-struct ShardOut {
-    updates: Vec<Update>,
-    /// Latest event the shard's VMs would have put on the kernel clock
-    /// (tick fires and completion returns, including output transfer).
-    last_event: SimTime,
-    /// `VmTick` events the sequential kernel would have delivered.
-    ticks: u64,
-}
-
-/// Runs an eligible scenario on the sharded engine.
-///
-/// The caller ([`crate::simulation::SimulationBuilder::run`]) has already
-/// validated the scenario and checked eligibility: no dependencies, no
-/// fault injection (host failures, fault plans, recovery), no
-/// resubmission.
-pub(crate) fn run(
-    world: &mut World,
-    blueprints: Vec<DatacenterBlueprint>,
-    vm_placement: &[DatacenterId],
-    assignment: &[VmId],
-    arrivals: Option<&[SimTime]>,
-    topology: &Topology,
-) -> RunStats {
-    let dc_count = blueprints.len();
-
-    // ---- Phase 1: VM placement, exactly as the kernel would order it.
-    //
-    // The kernel delivers `VmCreate`s ordered by (arrival time, push
-    // sequence). All of a datacenter's creates share one latency and were
-    // pushed in VM-index order, so each datacenter sees its VMs in index
-    // order — which a single index-order loop over disjoint per-DC state
-    // reproduces.
-    let mut dc_infos = Vec::with_capacity(dc_count);
-    let mut dc_states = Vec::with_capacity(dc_count);
-    for blueprint in blueprints {
-        assert!(!blueprint.hosts.is_empty(), "datacenter needs hosts");
-        let hosts: Vec<Host> = blueprint
-            .hosts
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| Host::new(HostId::from_index(i), spec))
-            .collect();
-        dc_states.push((hosts, blueprint.allocation));
-        dc_infos.push(DcInfo {
-            scheduler: blueprint.scheduler,
-            cost: blueprint.characteristics.cost,
-        });
-    }
-    // The broker submits cloudlets when the last ack lands: each ack
-    // arrives at its datacenter's latency, so readiness is the max.
-    let mut t_ready = SimTime::ZERO;
-    for (idx, dc) in vm_placement.iter().enumerate() {
-        let vm_id = VmId::from_index(idx);
-        world.vm_mut(vm_id).status = crate::vm::VmStatus::Requested;
-        t_ready = t_ready.max(topology.latency_to(*dc));
-        let spec = world.vm(vm_id).spec.clone();
-        let (hosts, allocation) = &mut dc_states[dc.index()];
-        let placed = allocation.select_host(hosts, &spec).and_then(|host_id| {
-            let host = &mut hosts[host_id.index()];
-            host.allocate_vm(vm_id, &spec).then_some(host_id)
-        });
-        match placed {
-            Some(host_id) => world.vm_mut(vm_id).place(*dc, host_id),
-            None => world.vm_mut(vm_id).reject(),
-        }
-    }
-    drop(dc_states);
-
-    // ---- Phase 2: submission grouping, mirroring the broker's batch
-    // path bit for bit (same delay arithmetic, same group keys, same
-    // first-occurrence order).
-    let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
-    let mut group_of: HashMap<(u32, u64), usize> = HashMap::new();
-    for idx in 0..assignment.len() {
-        let cloudlet = CloudletId::from_index(idx);
-        let vm_id = assignment[idx];
-        let vm = world.vm(vm_id);
-        if !vm.is_active() {
-            world.cloudlet_mut(cloudlet).status = CloudletStatus::Failed;
-            continue;
-        }
-        let dc = vm.datacenter.expect("active VM has a datacenter");
-        let latency = topology.latency_to(dc);
-        let spec = &world.cloudlets[idx].spec;
-        let in_delay = transfer_time(spec.file_size_mb, vm.spec.bw_mbps);
-        let wait = arrivals
-            .map(|a| a[idx].saturating_sub(t_ready))
-            .unwrap_or(SimTime::ZERO);
-        let delay = wait + latency + in_delay;
-        {
-            let cl = world.cloudlet_mut(cloudlet);
-            cl.submit_time = Some(t_ready + wait);
-            cl.vm = Some(vm_id);
-        }
-        let slot = *group_of
-            .entry((vm_id.0, delay.as_millis().to_bits()))
-            .or_insert_with(|| {
-                groups.push((vm_id, t_ready + delay, Vec::new()));
-                groups.len() - 1
-            });
-        groups[slot].2.push(cloudlet);
-    }
-    let group_count = groups.len() as u64;
-
-    // ---- Phase 3: per-VM replay across shards.
-    let vm_count = world.vms.len();
-    let mut per_vm: Vec<Vec<(SimTime, Vec<CloudletId>)>> = vec![Vec::new(); vm_count];
-    for (vm_id, delivery, cls) in groups {
-        per_vm[vm_id.index()].push((delivery, cls));
-    }
-    for subs in &mut per_vm {
-        // Stable by delivery time: equal-time groups (distinct delays that
-        // round to one instant) keep the broker's first-occurrence order.
-        subs.sort_by_key(|g| g.0);
-    }
-
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = vm_count.div_ceil(threads).max(1);
-    let ranges: Vec<(usize, usize)> = (0..vm_count)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(vm_count)))
-        .collect();
-    let vms = &world.vms;
-    let cloudlets = &world.cloudlets;
-    let per_vm_ref = &per_vm;
-    let dc_infos_ref = &dc_infos;
-    let shard_results: Vec<ShardOut> = ranges
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut out = ShardOut {
-                updates: Vec::new(),
-                last_event: SimTime::ZERO,
-                ticks: 0,
-            };
-            for vi in lo..hi {
-                replay_vm(&vms[vi], &per_vm_ref[vi], cloudlets, dc_infos_ref, &mut out);
-            }
-            out
-        })
-        .collect();
-
-    // ---- Deterministic merge. Shard results cover disjoint cloudlets
-    // (each belongs to exactly one VM), so merge order cannot matter; we
-    // still apply them in shard order.
-    let start_events = dc_count as u64 + 1; // every entity gets a Start
-    let mut events = start_events + 2 * vm_count as u64 + group_count;
-    let mut end_time = t_ready;
-    for shard in shard_results {
-        end_time = end_time.max(shard.last_event);
-        events += shard.ticks + shard.updates.len() as u64;
-        for u in shard.updates {
-            let cl = world.cloudlet_mut(u.id);
-            cl.status = CloudletStatus::Finished;
-            cl.start_time = Some(u.start);
-            cl.finish_time = Some(u.finish);
-            cl.cost = u.cost;
-        }
-    }
-    RunStats {
-        end_time,
-        events_processed: events,
-        drained: true,
+impl ReturnRun {
+    fn head(&self) -> (SimTime, u64) {
+        (self.items[self.next].0, self.flush)
     }
 }
 
-/// Replays one VM's event sequence: submission batches interleaved with
-/// the coalesced tick timer, exactly as the sequential kernel delivers
-/// them.
-fn replay_vm(
-    vm: &Vm,
-    subs: &[(SimTime, Vec<CloudletId>)],
-    cloudlets: &[Cloudlet],
-    dc_infos: &[DcInfo],
-    out: &mut ShardOut,
-) {
-    if subs.is_empty() {
-        return;
-    }
-    let dc = vm.datacenter.expect("VM with submissions is placed");
-    let info = &dc_infos[dc.index()];
-    let mut sched = info.scheduler.build(vm.spec.mips, vm.spec.pes);
-    // The one-slot armed deadline reproduces the event queue's per-VM
-    // coalescing: at most one live tick, superseded only by an earlier
-    // one (see `EventQueue::push_vm_tick`).
-    let mut armed: Option<SimTime> = None;
-    let mut gi = 0usize;
-    let mut starts: HashMap<CloudletId, SimTime> = HashMap::new();
-    loop {
-        // Next event is the earlier of the next submission batch and the
-        // armed tick. On a tie the submission wins: submission events were
-        // pushed when the fleet came up, before any tick could be armed,
-        // so they carry lower sequence numbers.
-        let next_sub = subs.get(gi).map(|g| g.0);
-        let (now, is_sub) = match (next_sub, armed) {
-            (Some(s), Some(a)) => {
-                if s <= a {
-                    (s, true)
-                } else {
-                    (a, false)
-                }
-            }
-            (Some(s), None) => (s, true),
-            (None, Some(a)) => (a, false),
-            (None, None) => break,
-        };
-        out.last_event = out.last_event.max(now);
-        let tick = if is_sub {
-            let batch: Vec<RunningCloudlet> = subs[gi]
-                .1
-                .iter()
-                .map(|&c| {
-                    let cl = &cloudlets[c.index()];
-                    RunningCloudlet::new(c, cl.spec.length_mi, cl.spec.pes)
-                })
-                .collect();
-            gi += 1;
-            sched.submit_many(now, batch)
-        } else {
-            armed = None;
-            out.ticks += 1;
-            sched.advance(now)
-        };
-        for c in &tick.started {
-            starts.insert(*c, now);
-        }
-        for &c in &tick.finished {
-            let start = starts[&c];
-            // Mirrors `Datacenter::apply_tick`: cost from the execution
-            // span, completion notified after the output transfer.
-            let cpu_seconds = now.saturating_sub(start).as_secs();
-            let spec = &cloudlets[c.index()].spec;
-            let cost = cloudlet_cost(&info.cost, &vm.spec, spec, cpu_seconds);
-            let out_delay = transfer_time(spec.output_size_mb, vm.spec.bw_mbps);
-            out.last_event = out.last_event.max(now + out_delay);
-            out.updates.push(Update {
-                id: c,
-                start,
-                finish: now,
-                cost,
-            });
-        }
-        if let Some(p) = tick.next_completion {
-            let t = p.max(now);
-            if armed.is_none_or(|a| t < a || a < now) {
-                armed = Some(t);
-            }
-        }
-    }
-}
-
-// ====================================================================
-// Epoch-sharded replay: faults, recovery and resubmission.
-// ====================================================================
-
-/// A VM-local delivery diverted from the event queue, awaiting replay.
-enum Staged {
-    /// A delivered `VmTick`: the queue's armed settle deadline fired.
-    /// Folded back into the replay's local `armed` slot rather than kept
-    /// as an inbox entry, so mid-epoch re-arms supersede it exactly like
-    /// the queue's lazy deletion would.
-    Tick,
-    /// A `CloudletSubmit` bound for a live VM.
-    Single(CloudletId),
-    /// A `CloudletSubmitBatch` bound for a live VM.
-    Batch(Vec<CloudletId>),
-}
-
-/// A completion notification produced by a replay segment, pending
-/// delivery to the real broker at an epoch boundary.
-struct PendingReturn {
-    at: SimTime,
-    /// Generation order: stable tie-break for same-instant returns.
-    ord: u64,
-    cloudlet: CloudletId,
-}
-
-impl PartialEq for PendingReturn {
+impl PartialEq for ReturnRun {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.ord == other.ord
+        self.head() == other.head()
     }
 }
-impl Eq for PendingReturn {}
-impl PartialOrd for PendingReturn {
+impl Eq for ReturnRun {}
+impl PartialOrd for ReturnRun {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for PendingReturn {
+impl Ord for ReturnRun {
+    /// Reversed, so a `BinaryHeap` yields the run with the earliest head.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .cmp(&other.at)
-            .then_with(|| self.ord.cmp(&other.ord))
+        other.head().cmp(&self.head())
     }
 }
 
-/// Input to one VM's parallel replay segment.
-struct Segment {
-    vm: VmId,
-    dc: usize,
-    /// Submissions staged this epoch, in queue pop (= kernel) order.
-    subs: Vec<(SimTime, Staged)>,
-    /// The queue tick this epoch already popped for the VM, if any.
-    popped_tick: Option<SimTime>,
-    /// The queue's armed-tick slot at flush time (un-popped deadline).
-    armed_before: Option<SimTime>,
-    sched: Box<dyn CloudletScheduler>,
-    cost: CostModel,
-}
-
-/// One finished cloudlet from a replay segment.
-struct FinishedCl {
-    id: CloudletId,
-    finish: SimTime,
-    cost: f64,
-    return_at: SimTime,
-}
-
-/// Everything a replay segment reports back for the sequential commit.
-struct SegmentOut {
-    vm: VmId,
-    dc: usize,
-    sched: Box<dyn CloudletScheduler>,
-    /// Cloudlets delivered to the VM this epoch (status → Queued).
-    queued: Vec<CloudletId>,
-    /// Start transitions, in event order (start time set iff unset).
-    started: Vec<(CloudletId, SimTime)>,
-    finished: Vec<FinishedCl>,
-    /// Submission events delivered (one per staged submit or batch).
-    sub_events: u64,
-    /// `VmTick` events delivered.
-    ticks: u64,
-    /// Latest event time the segment put on the clock (including
-    /// completion returns' output-transfer delay).
-    last_event: SimTime,
-    /// Time of the last event the segment actually processed.
-    last_now: SimTime,
-    armed_before: Option<SimTime>,
-    armed_after: Option<SimTime>,
-}
-
-/// The epoch driver's mutable state.
-struct Driver {
-    queue: EventQueue,
-    clock: SimTime,
-    processed: u64,
-    /// Per-VM staged deliveries awaiting the next epoch flush.
-    inbox: HashMap<VmId, Vec<(SimTime, Staged)>>,
-    returns: BinaryHeap<Reverse<PendingReturn>>,
-    return_ord: u64,
-    broker_id: EntityId,
-}
-
-/// Runs a fault-injected, recovering or resubmitting scenario on the
-/// epoch-sharded engine.
-///
-/// The caller ([`crate::simulation::SimulationBuilder::run`]) has
-/// validated the scenario and built the *real* datacenter and broker
-/// entities exactly as the sequential kernel would. This driver replays
-/// the same event stream: control events (placement, host failures and
-/// repairs, VM degrades, submissions landing on dead VMs, cloudlet
-/// failures, retry wake-ups) are dispatched to the real entity handlers
-/// in queue order, while VM-local deliveries in between are staged and
-/// replayed in parallel at the next control instant. Workflow DAGs route
-/// to [`run_epochs_dag`] instead, which adds the release barrier.
-pub(crate) fn run_epochs(
-    world: &mut World,
-    dcs: &mut [Datacenter],
-    broker: &mut Broker,
-    max_events: u64,
-) -> RunStats {
-    let broker_id = EntityId::from_index(dcs.len());
-    let mut driver = Driver {
-        queue: EventQueue::new(),
-        clock: SimTime::ZERO,
-        processed: 0,
-        inbox: HashMap::new(),
-        returns: BinaryHeap::new(),
-        return_ord: 0,
-        broker_id,
-    };
-    // Start every entity at t=0 in registration order, as the kernel does.
-    for i in 0..=dcs.len() {
-        let id = EntityId::from_index(i);
-        driver.queue.push(SimTime::ZERO, id, id, Event::Start);
-    }
-    // The kernel learns the broker address from the first submission; the
-    // driver diverts submissions around the entity, so pre-seed the hint
-    // (only ever read once submissions have landed — equivalent).
-    for dc in dcs.iter_mut() {
-        dc.set_broker_hint(broker_id);
-    }
-
-    while let Some(ev) = driver.queue.pop() {
-        match ev.event {
-            Event::VmTick { vm } => {
-                driver.stage(vm, ev.time, Staged::Tick);
-                continue;
-            }
-            Event::CloudletSubmit { cloudlet, vm } if world.vm(vm).is_active() => {
-                driver.stage(vm, ev.time, Staged::Single(cloudlet));
-                continue;
-            }
-            Event::CloudletSubmitBatch { vm, ref cloudlets } if world.vm(vm).is_active() => {
-                let batch = cloudlets.clone();
-                driver.stage(vm, ev.time, Staged::Batch(batch));
-                continue;
-            }
-            _ => {}
-        }
-        // A control event. Everything staged so far was popped before it,
-        // i.e. is kernel-ordered before it: replay up to this instant,
-        // deliver matured completions, then run the real handler on the
-        // merged state.
-        driver.flush(world, dcs, Some(ev.time));
-        driver.deliver_returns(world, broker, Some(ev.time));
-        driver.clock = driver.clock.max(ev.time);
-        driver.processed += 1;
-        if driver.processed > max_events {
-            return RunStats {
-                end_time: driver.clock,
-                events_processed: driver.processed,
-                drained: false,
-            };
-        }
-        let dest = ev.dest;
-        let mut ctx = Context::attach(ev.time, dest, &mut driver.queue);
-        if dest.index() < dcs.len() {
-            dcs[dest.index()].handle(world, &mut ctx, ev);
-        } else {
-            broker.handle(world, &mut ctx, ev);
-        }
-    }
-    // Queue drained: replay whatever is still staged to completion, then
-    // deliver the remaining returns (which push nothing further — the
-    // broker's return handler only folds counters when there is no DAG).
-    driver.flush(world, dcs, None);
-    driver.deliver_returns(world, broker, None);
-    debug_assert!(driver.queue.is_empty(), "epoch driver left events behind");
-    let drained = driver.processed <= max_events;
-    RunStats {
-        end_time: driver.clock,
-        events_processed: driver.processed,
-        drained,
-    }
-}
-
-impl Driver {
-    fn stage(&mut self, vm: VmId, time: SimTime, staged: Staged) {
-        self.inbox.entry(vm).or_default().push((time, staged));
-    }
-
-    /// Replays every staged VM up to `horizon` (exclusive; `None` = to
-    /// completion), commits the results to the world in a deterministic
-    /// order and reconciles each VM's armed tick with the queue.
-    fn flush(&mut self, world: &mut World, dcs: &mut [Datacenter], horizon: Option<SimTime>) {
-        if self.inbox.is_empty() {
-            return;
-        }
-        let mut keys: Vec<VmId> = self.inbox.keys().copied().collect();
-        keys.sort_unstable_by_key(|vm| vm.index());
-        let mut segs: Vec<Segment> = Vec::with_capacity(keys.len());
-        for vm in keys {
-            let mut entries = self.inbox.remove(&vm).expect("key just listed");
-            let mut popped_tick = None;
-            entries.retain(|(t, s)| {
-                if matches!(s, Staged::Tick) {
-                    popped_tick = Some(*t);
-                    false
-                } else {
-                    true
-                }
-            });
-            let dc = world
-                .vm(vm)
-                .datacenter
-                .expect("staged deliveries imply placement")
-                .index();
-            let sched = dcs[dc]
-                .take_sched(vm)
-                .expect("staged deliveries imply a live scheduler");
-            segs.push(Segment {
-                vm,
-                dc,
-                subs: entries,
-                popped_tick,
-                armed_before: self.queue.armed_tick(vm),
-                sched,
-                cost: dcs[dc].characteristics().cost,
-            });
-        }
-        let vms = &world.vms;
-        let cloudlets = &world.cloudlets;
-        let outs: Vec<SegmentOut> = if segs.len() > 1 {
-            segs.into_par_iter()
-                .map(|s| replay_segment(s, vms, cloudlets, horizon))
-                .collect()
-        } else {
-            segs.into_iter()
-                .map(|s| replay_segment(s, vms, cloudlets, horizon))
-                .collect()
-        };
-        for out in outs {
-            self.processed += out.ticks + out.sub_events;
-            self.clock = self.clock.max(out.last_event);
-            let dc_id = EntityId::from_index(out.dc);
-            dcs[out.dc].put_sched(out.vm, out.sched);
-            dcs[out.dc].note_completed(out.finished.len() as u64);
-            if out.armed_after != out.armed_before {
-                self.queue.cancel_vm_tick(out.vm);
-                if let Some(t) = out.armed_after {
-                    self.queue
-                        .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
-                }
-            }
-            // Commit in the kernel's per-cloudlet transition order:
-            // delivery (Queued) → start (Running) → finish.
-            for &c in &out.queued {
-                let cl = world.cloudlet_mut(c);
-                cl.status = CloudletStatus::Queued;
-                cl.vm = Some(out.vm);
-            }
-            for &(c, t) in &out.started {
-                let cl = world.cloudlet_mut(c);
-                if cl.start_time.is_none() {
-                    cl.start_time = Some(t);
-                }
-                cl.status = CloudletStatus::Running;
-            }
-            for f in out.finished {
-                let cl = world.cloudlet_mut(f.id);
-                cl.finish_time = Some(f.finish);
-                cl.status = CloudletStatus::Finished;
-                cl.cost = f.cost;
-                self.returns.push(Reverse(PendingReturn {
-                    at: f.return_at,
-                    ord: self.return_ord,
-                    cloudlet: f.id,
-                }));
-                self.return_ord += 1;
-            }
-        }
-    }
-
-    /// Delivers matured completion notifications to the real broker, in
-    /// (time, generation) order. With no workflow DAG the return handler
-    /// only folds counters, so delivering at epoch granularity instead of
-    /// interleaved with bulk ticks is unobservable.
-    fn deliver_returns(
-        &mut self,
-        world: &mut World,
-        broker: &mut Broker,
-        horizon: Option<SimTime>,
-    ) {
-        while let Some(Reverse(head)) = self.returns.peek() {
-            if horizon.is_some_and(|h| head.at >= h) {
-                break;
-            }
-            let Reverse(r) = self.returns.pop().expect("peeked entry pops");
-            self.processed += 1;
-            self.clock = self.clock.max(r.at);
-            let ev = ScheduledEvent {
-                time: r.at,
-                seq: 0,
-                dest: self.broker_id,
-                src: self.broker_id,
-                event: Event::CloudletReturn {
-                    cloudlet: r.cloudlet,
-                },
-            };
-            let mut ctx = Context::attach(r.at, self.broker_id, &mut self.queue);
-            broker.handle(world, &mut ctx, ev);
-        }
-    }
-}
-
-// ====================================================================
-// Dependency-aware epochs: workflow DAGs on the sharded engine.
-// ====================================================================
-
-/// The dependency table the DAG epoch driver replays against, compiled
-/// once from the scenario before the entities are built.
+/// The dependency table the driver replays against, compiled once from
+/// the scenario before the entities are built. A plan compiled from no
+/// dependencies is empty: no cloudlet has local or cross children, so
+/// there is no barrier and nothing is masked.
 ///
 /// Children are classified by where their release can be resolved:
 ///
@@ -674,6 +108,10 @@ impl Driver {
 /// Under fault shaping (host failures, recovery, resubmission) every
 /// child is cross: resubmission can rewrite the assignment mid-run, so
 /// the static same-VM classification would be unsound.
+///
+/// The per-cloudlet tables cover only the cloudlets the plan was compiled
+/// from; lookups past their end (every lookup, for an empty plan) find no
+/// children.
 pub(crate) struct DagPlan {
     /// CSR offsets into `local_child`: `local_off[p]..local_off[p+1]`
     /// are the locally-released children of parent `p`.
@@ -688,19 +126,21 @@ pub(crate) struct DagPlan {
     /// child id; moved into the lanes at driver start.
     lane_pending: Vec<Vec<(u32, u32)>>,
     /// Inputs the in-lane release arithmetic shares with
-    /// `Broker::submit_one`.
+    /// `Broker::submit_one` (arrivals are kept only when some child is
+    /// released locally).
     arrivals: Option<Vec<SimTime>>,
     topology: Topology,
 }
 
 impl DagPlan {
     /// Classifies every dependency edge and builds the replay table.
+    /// `parents` is empty when the scenario has no dependencies.
     pub(crate) fn compile(
         parents: &[Vec<CloudletId>],
         assignment: &[VmId],
         vm_count: usize,
         fault_shaped: bool,
-        arrivals: Option<Vec<SimTime>>,
+        arrivals: Option<&[SimTime]>,
         topology: Topology,
     ) -> DagPlan {
         let n = parents.len();
@@ -747,6 +187,9 @@ impl DagPlan {
                     .push((c as u32, u32::try_from(ps.len()).expect("parents fit u32")));
             }
         }
+        let arrivals = arrivals
+            .filter(|_| !local_child.is_empty())
+            .map(<[SimTime]>::to_vec);
         DagPlan {
             local_off,
             local_child,
@@ -759,13 +202,17 @@ impl DagPlan {
     }
 
     fn local_children(&self, parent: CloudletId) -> &[u32] {
-        let lo = self.local_off[parent.index()] as usize;
-        let hi = self.local_off[parent.index() + 1] as usize;
-        &self.local_child[lo..hi]
+        let p = parent.index();
+        match self.local_off.get(p..p + 2) {
+            Some(&[lo, hi]) => &self.local_child[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
-    fn has_local_children(&self, parent: CloudletId) -> bool {
-        self.local_off[parent.index()] < self.local_off[parent.index() + 1]
+    /// Whether `parent` has a cross child, i.e. its completion bounds the
+    /// release barrier.
+    fn has_cross_children(&self, parent: CloudletId) -> bool {
+        self.has_cross.get(parent.index()).copied().unwrap_or(false)
     }
 }
 
@@ -784,13 +231,30 @@ enum Bound {
     All,
 }
 
+/// A queue-staged submission: one `CloudletSubmit`, or one
+/// `CloudletSubmitBatch` that the VM settles once and the kernel counts
+/// as one event.
+enum Sub {
+    One(CloudletId),
+    Batch(Vec<CloudletId>),
+}
+
+impl Sub {
+    fn cloudlets(&self) -> &[CloudletId] {
+        match self {
+            Sub::One(c) => std::slice::from_ref(c),
+            Sub::Batch(cls) => cls,
+        }
+    }
+}
+
 /// One VM's staged work between flushes, plus its local release state.
 #[derive(Default)]
 struct Lane {
     /// Queue-staged submissions in pop (= kernel) order, consumed from
     /// `head`. Pop times are globally nondecreasing, so this stays
     /// sorted by construction.
-    subs: Vec<(SimTime, CloudletId)>,
+    subs: Vec<(SimTime, Sub)>,
     head: usize,
     /// The queue tick already popped for this VM, if any.
     popped_tick: Option<SimTime>,
@@ -831,30 +295,22 @@ impl Lane {
     }
 }
 
-/// Input to one lane's parallel replay.
+/// One lane taken out of the driver for a parallel replay; the replay
+/// advances its lane and scheduler in place.
 struct LaneSeg {
     vm: VmId,
     dc: usize,
     lane: Lane,
     armed_before: Option<SimTime>,
     sched: Box<dyn CloudletScheduler>,
-    cost: CostModel,
-    /// Broker→datacenter latency for this lane's datacenter (release
-    /// arithmetic input).
-    latency: SimTime,
 }
 
 /// Everything a lane replay reports back for the sequential commit.
 struct LaneOut {
-    vm: VmId,
-    dc: usize,
-    sched: Box<dyn CloudletScheduler>,
-    /// The lane, with consumed entries removed and any still-pending
-    /// local content retained for later rounds.
-    lane: Lane,
     queued: Vec<CloudletId>,
     started: Vec<(CloudletId, SimTime)>,
-    finished: Vec<FinishedCl>,
+    /// Finished cloudlets and their finish times.
+    finished: Vec<(CloudletId, SimTime)>,
     /// Locally released children and their submit times (committed to the
     /// world exactly as `Broker::submit_one` would set them).
     released: Vec<(CloudletId, SimTime)>,
@@ -862,12 +318,11 @@ struct LaneOut {
     ticks: u64,
     last_event: SimTime,
     last_now: SimTime,
-    armed_before: Option<SimTime>,
     armed_after: Option<SimTime>,
 }
 
-/// The DAG epoch driver's mutable state.
-struct DagDriver {
+/// The driver's mutable state.
+struct Driver {
     queue: EventQueue,
     clock: SimTime,
     processed: u64,
@@ -875,11 +330,13 @@ struct DagDriver {
     /// Lazy min-heap of `(lane next-event time, vm)`; entries are
     /// validated against the lane's actual next event on peek.
     dirty: BinaryHeap<Reverse<(SimTime, u32)>>,
-    returns: BinaryHeap<Reverse<PendingReturn>>,
+    /// Completion notifications pending delivery to the real broker, one
+    /// run per flush; merged in (return time, commit order).
+    returns: BinaryHeap<ReturnRun>,
+    flushes: u64,
     /// Mirror of `returns` restricted to barrier-relevant (cross-child)
     /// completions: its head is the earliest pending release.
     rel_ats: BinaryHeap<Reverse<SimTime>>,
-    return_ord: u64,
     /// Cross-child cloudlets currently staged or executing in a lane.
     /// While any exist, replay is also bounded by the earliest lane
     /// event (their completion times are not yet known).
@@ -888,8 +345,12 @@ struct DagDriver {
     broker_id: EntityId,
 }
 
-/// Runs a workflow-DAG scenario (with or without fault shaping) on the
-/// epoch-sharded engine.
+/// Runs a scenario on the sharded engine.
+///
+/// The caller ([`crate::simulation::SimulationBuilder::run`]) has
+/// validated the scenario and built the *real* datacenter and broker
+/// entities exactly as the sequential kernel would, and compiled `plan`
+/// (empty when there are no dependencies).
 ///
 /// The loop alternates between draining every queue event at or before
 /// the current release barrier — bulk deliveries are staged into lanes,
@@ -902,8 +363,10 @@ struct DagDriver {
 /// cross-parent cloudlet whose completion is no earlier than its lane's
 /// next event (≥ G, inductively over release chains); queue events are
 /// never outrun because rounds fire only when the earliest deliverable
-/// queue event lies beyond the barrier.
-pub(crate) fn run_epochs_dag(
+/// queue event lies beyond the barrier. Without cross releases there is
+/// no barrier: the queue drains with `Control` flushes only, and one
+/// `All` flush finishes the run.
+pub(crate) fn run(
     world: &mut World,
     dcs: &mut [Datacenter],
     broker: &mut Broker,
@@ -928,15 +391,15 @@ pub(crate) fn run_epochs_dag(
         });
     }
     lanes.resize_with(vm_count, Lane::default);
-    let mut driver = DagDriver {
+    let mut driver = Driver {
         queue: EventQueue::new(),
         clock: SimTime::ZERO,
         processed: 0,
         lanes,
         dirty: BinaryHeap::new(),
         returns: BinaryHeap::new(),
+        flushes: 0,
         rel_ats: BinaryHeap::new(),
-        return_ord: 0,
         rel_inflight: 0,
         in_flight: vec![false; n],
         broker_id,
@@ -960,7 +423,10 @@ pub(crate) fn run_epochs_dag(
                         driver.stage_tick(vm, ev.time);
                     }
                     Event::CloudletSubmit { cloudlet, vm } if world.vm(vm).is_active() => {
-                        driver.stage_sub(vm, ev.time, cloudlet, &plan);
+                        driver.stage_sub(vm, ev.time, Sub::One(cloudlet), &plan);
+                    }
+                    Event::CloudletSubmitBatch { vm, cloudlets } if world.vm(vm).is_active() => {
+                        driver.stage_sub(vm, ev.time, Sub::Batch(cloudlets), &plan);
                     }
                     _ => {
                         // A control event: cloudlet failures, host faults
@@ -1017,11 +483,11 @@ pub(crate) fn run_epochs_dag(
             }
         }
     }
-    debug_assert!(driver.queue.is_empty(), "DAG driver left events behind");
+    debug_assert!(driver.queue.is_empty(), "driver left events behind");
     debug_assert!(driver.returns.is_empty(), "undelivered completions");
     debug_assert!(
         driver.lanes.iter().all(|l| !l.has_content()),
-        "DAG driver left lane content behind"
+        "driver left lane content behind"
     );
     let drained = driver.processed <= max_events;
     RunStats {
@@ -1031,7 +497,7 @@ pub(crate) fn run_epochs_dag(
     }
 }
 
-impl DagDriver {
+impl Driver {
     /// The release barrier: the earliest instant at which a cross release
     /// can still be injected. `None` when no cross release is pending or
     /// in flight anywhere.
@@ -1065,20 +531,33 @@ impl DagDriver {
         }
     }
 
-    fn stage_tick(&mut self, vm: VmId, time: SimTime) {
+    /// Adds queue-staged content to a lane. Staging only ever moves a
+    /// lane's next event earlier, and the dirty heap already holds an
+    /// entry for the current one, so a new entry is needed only on a move.
+    fn stage(&mut self, vm: VmId, add: impl FnOnce(&mut Lane)) {
         let lane = &mut self.lanes[vm.index()];
-        debug_assert!(lane.popped_tick.is_none(), "one armed tick per VM");
-        lane.popped_tick = Some(time);
-        self.mark_dirty(vm);
+        let before = lane.next_time();
+        add(lane);
+        if lane.next_time() != before {
+            self.mark_dirty(vm);
+        }
     }
 
-    fn stage_sub(&mut self, vm: VmId, time: SimTime, cloudlet: CloudletId, plan: &DagPlan) {
-        self.lanes[vm.index()].subs.push((time, cloudlet));
-        if plan.has_cross[cloudlet.index()] && !self.in_flight[cloudlet.index()] {
-            self.in_flight[cloudlet.index()] = true;
-            self.rel_inflight += 1;
+    fn stage_tick(&mut self, vm: VmId, time: SimTime) {
+        self.stage(vm, |lane| {
+            debug_assert!(lane.popped_tick.is_none(), "one armed tick per VM");
+            lane.popped_tick = Some(time);
+        });
+    }
+
+    fn stage_sub(&mut self, vm: VmId, time: SimTime, sub: Sub, plan: &DagPlan) {
+        for &c in sub.cloudlets() {
+            if plan.has_cross_children(c) && !self.in_flight[c.index()] {
+                self.in_flight[c.index()] = true;
+                self.rel_inflight += 1;
+            }
         }
-        self.mark_dirty(vm);
+        self.stage(vm, |lane| lane.subs.push((time, sub)));
     }
 
     /// A `CloudletFailed` control was popped: if the cloudlet was staged
@@ -1134,38 +613,50 @@ impl DagDriver {
                 lane,
                 armed_before: self.queue.armed_tick(vm),
                 sched,
-                cost: dcs[dc].characteristics().cost,
-                latency: plan.topology.latency_to(DatacenterId::from_index(dc)),
             });
         }
         let vms = &world.vms;
         let cloudlets = &world.cloudlets;
-        let outs: Vec<LaneOut> = if segs.len() > 1 {
-            segs.into_par_iter()
-                .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                .collect()
-        } else {
-            segs.into_iter()
-                .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                .collect()
-        };
-        for out in outs {
+        // One contiguous run of lanes per worker, replayed in place: only
+        // the per-lane results travel back through the pool.
+        let per_worker = segs.len().div_ceil(rayon::current_num_threads().max(1));
+        let outs: Vec<Vec<LaneOut>> = segs
+            .chunks_mut(per_worker)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|run| {
+                run.iter_mut()
+                    .map(|seg| replay_lane(seg, vms, cloudlets, plan, bound))
+                    .collect()
+            })
+            .collect();
+        let mut completions = Vec::new();
+        for (seg, out) in segs.into_iter().zip(outs.into_iter().flatten()) {
+            let LaneSeg {
+                vm,
+                dc,
+                lane,
+                armed_before,
+                sched,
+                ..
+            } = seg;
             self.processed += out.ticks + out.sub_events;
             self.clock = self.clock.max(out.last_event);
-            let dc_id = EntityId::from_index(out.dc);
-            dcs[out.dc].put_sched(out.vm, out.sched);
-            dcs[out.dc].note_completed(out.finished.len() as u64);
-            if out.armed_after != out.armed_before {
-                self.queue.cancel_vm_tick(out.vm);
+            let dc_id = EntityId::from_index(dc);
+            dcs[dc].put_sched(vm, sched);
+            dcs[dc].note_completed(out.finished.len() as u64);
+            if out.armed_after != armed_before {
+                self.queue.cancel_vm_tick(vm);
                 if let Some(t) = out.armed_after {
-                    self.queue
-                        .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
+                    self.queue.push_vm_tick(out.last_now, dc_id, dc_id, vm, t);
                 }
             }
+            // Commit in the kernel's per-cloudlet transition order:
+            // delivery (Queued) → start (Running) → finish.
             for &c in &out.queued {
                 let cl = world.cloudlet_mut(c);
                 cl.status = CloudletStatus::Queued;
-                cl.vm = Some(out.vm);
+                cl.vm = Some(vm);
             }
             for &(c, t) in &out.released {
                 world.cloudlet_mut(c).submit_time = Some(t);
@@ -1177,35 +668,47 @@ impl DagDriver {
                 }
                 cl.status = CloudletStatus::Running;
             }
-            for f in out.finished {
-                let cl = world.cloudlet_mut(f.id);
-                cl.finish_time = Some(f.finish);
+            // Mirrors `Datacenter::apply_tick`: cost from the execution
+            // span, whose start is now committed, and the completion
+            // notified after the output transfer.
+            let cost = dcs[dc].characteristics().cost;
+            let vm_spec = &world.vms[vm.index()].spec;
+            for (c, finish) in out.finished {
+                let cl = &mut world.cloudlets[c.index()];
+                cl.finish_time = Some(finish);
                 cl.status = CloudletStatus::Finished;
-                cl.cost = f.cost;
-                if self.in_flight[f.id.index()] {
-                    self.in_flight[f.id.index()] = false;
+                let cpu_seconds = cl.execution_time().map(|t| t.as_secs()).unwrap_or(0.0);
+                cl.cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
+                let return_at = finish + transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
+                if self.in_flight[c.index()] {
+                    self.in_flight[c.index()] = false;
                     self.rel_inflight -= 1;
                 }
-                if plan.has_cross[f.id.index()] {
-                    self.rel_ats.push(Reverse(f.return_at));
+                if plan.has_cross_children(c) {
+                    self.rel_ats.push(Reverse(return_at));
                 }
-                self.returns.push(Reverse(PendingReturn {
-                    at: f.return_at,
-                    ord: self.return_ord,
-                    cloudlet: f.id,
-                }));
-                self.return_ord += 1;
+                completions.push((return_at, c));
             }
-            let vm = out.vm;
-            self.lanes[vm.index()] = out.lane;
+            self.lanes[vm.index()] = lane;
             self.mark_dirty(vm);
+        }
+        if !completions.is_empty() {
+            // Stable: same-instant completions keep commit order.
+            completions.sort_by_key(|&(at, _)| at);
+            self.returns.push(ReturnRun {
+                flush: self.flushes,
+                items: completions,
+                next: 0,
+            });
+            self.flushes += 1;
         }
     }
 
     /// Delivers matured completions to the real broker in (time,
-    /// generation) order. Unlike the fault-only driver this is where
-    /// cross releases actually happen: the broker's return handler
-    /// decrements pending-parent counters and submits freed children.
+    /// generation) order. With dependencies this is where cross releases
+    /// happen: the broker's return handler decrements pending-parent
+    /// counters and submits freed children. Without them it only folds
+    /// counters, so delivering at flush granularity is unobservable.
     fn deliver_returns(
         &mut self,
         world: &mut World,
@@ -1214,34 +717,39 @@ impl DagDriver {
         inclusive: bool,
         plan: &DagPlan,
     ) {
-        while let Some(Reverse(head)) = self.returns.peek() {
+        while let Some(mut run) = self.returns.peek_mut() {
+            let (at, cloudlet) = run.items[run.next];
             let due = match bound {
                 None => true,
-                Some(h) if inclusive => head.at <= h,
-                Some(h) => head.at < h,
+                Some(h) if inclusive => at <= h,
+                Some(h) => at < h,
             };
             if !due {
                 break;
             }
-            let Reverse(r) = self.returns.pop().expect("peeked entry pops");
-            if plan.has_cross[r.cloudlet.index()] {
+            run.next += 1;
+            if run.next == run.items.len() {
+                PeekMut::pop(run);
+            } else {
+                // Re-sifts the run by its new head.
+                drop(run);
+            }
+            if plan.has_cross_children(cloudlet) {
                 let Some(Reverse(t)) = self.rel_ats.pop() else {
                     unreachable!("cross return delivered without barrier entry");
                 };
-                debug_assert_eq!(t, r.at, "barrier mirror out of sync");
+                debug_assert_eq!(t, at, "barrier mirror out of sync");
             }
             self.processed += 1;
-            self.clock = self.clock.max(r.at);
+            self.clock = self.clock.max(at);
             let ev = ScheduledEvent {
-                time: r.at,
+                time: at,
                 seq: 0,
                 dest: self.broker_id,
                 src: self.broker_id,
-                event: Event::CloudletReturn {
-                    cloudlet: r.cloudlet,
-                },
+                event: Event::CloudletReturn { cloudlet },
             };
-            let mut ctx = Context::attach(r.at, self.broker_id, &mut self.queue);
+            let mut ctx = Context::attach(at, self.broker_id, &mut self.queue);
             broker.handle(world, &mut ctx, ev);
         }
     }
@@ -1251,7 +759,7 @@ impl DagDriver {
 /// released submissions, local release notifications and the settle
 /// timer, merged in kernel order.
 fn replay_lane(
-    seg: LaneSeg,
+    seg: &mut LaneSeg,
     vms: &[Vm],
     cloudlets: &[Cloudlet],
     plan: &DagPlan,
@@ -1260,27 +768,26 @@ fn replay_lane(
     let LaneSeg {
         vm,
         dc,
-        mut lane,
+        lane,
         armed_before,
-        mut sched,
-        cost,
-        latency,
+        sched,
     } = seg;
     let vm_spec = &vms[vm.index()].spec;
+    // Sized for the staged submissions, which an `All` flush runs to
+    // completion.
+    let staged: usize = lane.subs[lane.head..]
+        .iter()
+        .map(|(_, sub)| sub.cloudlets().len())
+        .sum();
     let mut out = LaneOut {
-        vm,
-        dc,
-        sched: SchedulerKind::SpaceShared.build(1.0, 1), // placeholder, replaced below
-        lane: Lane::default(),                           // placeholder, replaced below
-        queued: Vec::new(),
-        started: Vec::new(),
-        finished: Vec::new(),
+        queued: Vec::with_capacity(staged),
+        started: Vec::with_capacity(staged),
+        finished: Vec::with_capacity(staged),
         released: Vec::new(),
         sub_events: 0,
         ticks: 0,
         last_event: SimTime::ZERO,
         last_now: SimTime::ZERO,
-        armed_before,
         armed_after: None,
     };
     let popped_tick = lane.popped_tick;
@@ -1289,7 +796,10 @@ fn replay_lane(
         "popped and armed tick cannot coexist"
     );
     let mut armed = armed_before.or(popped_tick);
-    let mut local_starts: HashMap<CloudletId, SimTime> = HashMap::new();
+    let running = |c: CloudletId| {
+        let spec = &cloudlets[c.index()].spec;
+        RunningCloudlet::new(c, spec.length_mi, spec.pes)
+    };
     // Event classes, in tie-break order at equal times:
     //   0 = local release notification (commutes with the submissions it
     //       does not create; processing it first means a same-instant
@@ -1298,8 +808,9 @@ fn replay_lane(
     //   1 = queue-staged submission (lowest kernel seq),
     //   2 = locally released submission (pushed at release time, highest
     //       kernel seq),
-    //   3 = settle tick (same-instant submit-then-settle commutes, as in
-    //       `replay_segment`).
+    //   3 = settle tick (a same-instant submit and settle commute on the
+    //       scheduler, so the states agree whichever the kernel popped
+    //       first).
     loop {
         let mut best: Option<(SimTime, u8)> = None;
         let mut consider = |t: SimTime, class: u8, ok: bool| {
@@ -1365,6 +876,7 @@ fn replay_lane(
                 if entry.1 == 0 {
                     let c = CloudletId(child);
                     let spec = &cloudlets[c.index()].spec;
+                    let latency = plan.topology.latency_to(DatacenterId::from_index(*dc));
                     let in_delay = transfer_time(spec.file_size_mb, vm_spec.bw_mbps);
                     let wait = plan
                         .arrivals
@@ -1386,12 +898,16 @@ fn replay_lane(
         out.last_event = out.last_event.max(now);
         let tick = match class {
             1 => {
-                let (_, c) = lane.subs[lane.head];
+                let (_, sub) = &lane.subs[lane.head];
                 lane.head += 1;
                 out.sub_events += 1;
-                out.queued.push(c);
-                let spec = &cloudlets[c.index()].spec;
-                sched.submit(now, RunningCloudlet::new(c, spec.length_mi, spec.pes))
+                out.queued.extend_from_slice(sub.cloudlets());
+                match sub {
+                    Sub::One(c) => sched.submit(now, running(*c)),
+                    Sub::Batch(cls) => {
+                        sched.submit_many(now, cls.iter().map(|&c| running(c)).collect())
+                    }
+                }
             }
             2 => {
                 let Some(Reverse((_, _, c))) = lane.local_subs.pop() else {
@@ -1399,8 +915,7 @@ fn replay_lane(
                 };
                 out.sub_events += 1;
                 out.queued.push(c);
-                let spec = &cloudlets[c.index()].spec;
-                sched.submit(now, RunningCloudlet::new(c, spec.length_mi, spec.pes))
+                sched.submit(now, running(c))
             }
             _ => {
                 armed = None;
@@ -1408,30 +923,18 @@ fn replay_lane(
                 sched.advance(now)
             }
         };
-        for &c in &tick.started {
-            local_starts.entry(c).or_insert(now);
-            out.started.push((c, now));
-        }
+        out.started.extend(tick.started.iter().map(|&c| (c, now)));
         for &c in &tick.finished {
-            let cl = &cloudlets[c.index()];
-            let start = cl.start_time.or_else(|| local_starts.get(&c).copied());
-            let cpu_seconds = start
-                .map(|s| now.saturating_sub(s).as_secs())
-                .unwrap_or(0.0);
-            let cl_cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
-            let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
-            let return_at = now + out_delay;
+            // The completion is notified after the output transfer (the
+            // commit repeats this arithmetic and computes the cost).
+            let spec = &cloudlets[c.index()].spec;
+            let return_at = now + transfer_time(spec.output_size_mb, vm_spec.bw_mbps);
             out.last_event = out.last_event.max(return_at);
-            if plan.has_local_children(c) {
+            if !plan.local_children(c).is_empty() {
                 lane.local_rets.push(Reverse((return_at, lane.ret_ord, c)));
                 lane.ret_ord += 1;
             }
-            out.finished.push(FinishedCl {
-                id: c,
-                finish: now,
-                cost: cl_cost,
-                return_at,
-            });
+            out.finished.push((c, now));
         }
         if let Some(p) = tick.next_completion {
             let t = p.max(now);
@@ -1446,131 +949,5 @@ fn replay_lane(
         lane.head = 0;
     }
     out.armed_after = armed;
-    out.sched = sched;
-    out.lane = lane;
-    out
-}
-
-/// Replays one VM's staged deliveries (plus its local settle timer) up to
-/// the epoch horizon, mirroring `Datacenter::handle_cloudlet_submit`,
-/// `handle_vm_tick` and `apply_tick` against a private scheduler.
-fn replay_segment(
-    seg: Segment,
-    vms: &[Vm],
-    cloudlets: &[Cloudlet],
-    horizon: Option<SimTime>,
-) -> SegmentOut {
-    let Segment {
-        vm,
-        dc,
-        subs,
-        popped_tick,
-        armed_before,
-        mut sched,
-        cost,
-    } = seg;
-    let vm_spec = &vms[vm.index()].spec;
-    let mut out = SegmentOut {
-        vm,
-        dc,
-        sched: SchedulerKind::SpaceShared.build(1.0, 1), // placeholder, replaced below
-        queued: Vec::new(),
-        started: Vec::new(),
-        finished: Vec::new(),
-        sub_events: 0,
-        ticks: 0,
-        last_event: SimTime::ZERO,
-        last_now: SimTime::ZERO,
-        armed_before,
-        armed_after: None,
-    };
-    // The armed deadline: either the slot still in the queue (>= horizon)
-    // or the tick this epoch already popped — never both, since popping
-    // clears the slot and nothing re-arms it until the flush.
-    let mut armed = armed_before.or(popped_tick);
-    let mut local_starts: HashMap<CloudletId, SimTime> = HashMap::new();
-    let mut si = 0usize;
-    loop {
-        // Next event: earliest of the staged submissions and the armed
-        // tick; a tie goes to the submission (kernel: a tick armed during
-        // an earlier bulk phase would win, but a same-instant submit and
-        // settle commute on the scheduler, so the states agree).
-        let next_sub = subs.get(si).map(|g| g.0);
-        let (now, is_sub) = match (next_sub, armed) {
-            (Some(s), Some(a)) if a < s => (a, false),
-            (Some(s), _) => (s, true),
-            (None, Some(a)) => (a, false),
-            (None, None) => break,
-        };
-        if !is_sub && horizon.is_some_and(|h| now >= h) && popped_tick != Some(now) {
-            // The deadline survives past this epoch; hand it back to the
-            // queue. (A tick chosen over a remaining submission is always
-            // strictly below the horizon, so this only fires when the
-            // submissions are exhausted.)
-            break;
-        }
-        out.last_now = now;
-        out.last_event = out.last_event.max(now);
-        let tick = if is_sub {
-            let (_, staged) = &subs[si];
-            si += 1;
-            out.sub_events += 1;
-            match staged {
-                Staged::Single(c) => {
-                    out.queued.push(*c);
-                    let spec = &cloudlets[c.index()].spec;
-                    sched.submit(now, RunningCloudlet::new(*c, spec.length_mi, spec.pes))
-                }
-                Staged::Batch(cls) => {
-                    out.queued.extend(cls.iter().copied());
-                    let batch: Vec<RunningCloudlet> = cls
-                        .iter()
-                        .map(|&c| {
-                            let spec = &cloudlets[c.index()].spec;
-                            RunningCloudlet::new(c, spec.length_mi, spec.pes)
-                        })
-                        .collect();
-                    sched.submit_many(now, batch)
-                }
-                Staged::Tick => unreachable!("ticks are folded into the armed deadline"),
-            }
-        } else {
-            armed = None;
-            out.ticks += 1;
-            sched.advance(now)
-        };
-        for &c in &tick.started {
-            local_starts.entry(c).or_insert(now);
-            out.started.push((c, now));
-        }
-        for &c in &tick.finished {
-            let cl = &cloudlets[c.index()];
-            // Mirrors `Datacenter::apply_tick`: the effective start is the
-            // earliest recorded one (world from earlier epochs, else this
-            // segment), cost from the execution span, completion notified
-            // after the output transfer.
-            let start = cl.start_time.or_else(|| local_starts.get(&c).copied());
-            let cpu_seconds = start
-                .map(|s| now.saturating_sub(s).as_secs())
-                .unwrap_or(0.0);
-            let cl_cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
-            let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
-            out.last_event = out.last_event.max(now + out_delay);
-            out.finished.push(FinishedCl {
-                id: c,
-                finish: now,
-                cost: cl_cost,
-                return_at: now + out_delay,
-            });
-        }
-        if let Some(p) = tick.next_completion {
-            let t = p.max(now);
-            if armed.is_none_or(|a| t < a || a < now) {
-                armed = Some(t);
-            }
-        }
-    }
-    out.armed_after = armed;
-    out.sched = sched;
     out
 }

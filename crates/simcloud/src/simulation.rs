@@ -47,14 +47,13 @@ pub enum EngineKind {
     #[default]
     Sequential,
     /// The sharded engine: per-VM timelines replayed across rayon
-    /// workers, trace-equivalent to the sequential kernel. Plain batch
-    /// scenarios run free (no synchronisation at all); fault injection,
-    /// recovery and resubmission run on the epoch-sharded driver, which
-    /// interleaves sequential control instants with parallel bulk
-    /// replay; workflow DAGs run on the dependency-aware epoch driver,
-    /// which bounds replay by a release barrier and resolves same-VM
-    /// releases inside the parallel lanes. Every workload shape is
-    /// expressible — no scenario falls back to [`Self::Sequential`].
+    /// workers, trace-equivalent to the sequential kernel. One driver
+    /// runs every workload shape: it interleaves sequential control
+    /// instants (placement, faults, recovery, resubmission) with parallel
+    /// per-VM replay, and for workflow DAGs bounds that replay by a
+    /// release barrier and resolves same-VM releases inside the parallel
+    /// lanes. A plain batch run is one parallel replay after placement.
+    /// No scenario falls back to [`Self::Sequential`].
     Sharded,
 }
 
@@ -343,57 +342,34 @@ impl SimulationBuilder {
             }
         }
 
-        // Engine routing. Three sharded paths plus the kernel:
-        //   1. Plain batch on the sharded engine → free-running replay
-        //      (no synchronisation; the paper's dominant shape).
-        //   2. Fault-injected / recovering / resubmitting, no DAG →
-        //      epoch-sharded replay over the real entities.
-        //   3. Workflow DAGs (with or without fault shaping) →
-        //      dependency-aware epochs with a release barrier.
-        //   4. `EngineKind::Sequential` → the kernel. No scenario falls
-        //      back anymore; `EngineFallback` is never produced.
+        // Engine routing. Both engines drive the same real entities; the
+        // sharded engine runs every shape on its one driver. Its
+        // dependency table is compiled before the broker consumes the
+        // assignment, arrival and topology vectors, and is empty without
+        // dependencies. Fault shaping makes every dependency edge cross
+        // (see `DagPlan`). No scenario falls back; `EngineFallback` is
+        // never produced.
         let fault_shaped = self.datacenters.iter().any(|d| !d.failures.is_empty())
             || dc_failures.iter().any(|f| !f.is_empty())
             || dc_repairs.iter().any(|r| !r.is_empty())
             || dc_degrades.iter().any(|d| !d.is_empty())
             || self.recovery.is_some()
             || self.max_retries > 0;
-        if self.engine == EngineKind::Sharded && self.dependencies.is_none() && !fault_shaped {
-            let mut world = World::new(self.vms, self.cloudlets);
-            let stats = crate::sharded::run(
-                &mut world,
-                self.datacenters,
-                &vm_placement,
-                &self.assignment,
-                self.arrivals.as_deref(),
-                &topology,
-            );
-            return Ok(outcome_from_world(
-                &world,
-                stats,
-                EngineKind::Sharded,
-                self.record_mode,
-                None,
-            ));
-        }
-        let epoch_sharded = self.engine == EngineKind::Sharded;
-        // The dependency table is compiled before the broker consumes the
-        // assignment, arrival and topology vectors.
-        let dag_plan = (epoch_sharded && self.dependencies.is_some()).then(|| {
+        let dag_plan = (self.engine == EngineKind::Sharded).then(|| {
             crate::sharded::DagPlan::compile(
-                self.dependencies.as_deref().expect("checked above"),
+                self.dependencies.as_deref().unwrap_or_default(),
                 &self.assignment,
                 self.vms.len(),
                 fault_shaped,
-                self.arrivals.clone(),
+                self.arrivals.as_deref(),
                 topology.clone(),
             )
         });
 
         let mut world = World::new(self.vms, self.cloudlets);
 
-        // Both remaining paths drive the same entities, built with dense
-        // ids (datacenters first, broker last) — exactly the ids
+        // Both engines drive the same entities, built with dense ids
+        // (datacenters first, broker last) — exactly the ids
         // `Kernel::register` would hand out in this order.
         let mut dcs = Vec::with_capacity(dc_count);
         let mut dc_entities = Vec::with_capacity(dc_count);
@@ -429,18 +405,9 @@ impl SimulationBuilder {
             broker = broker.with_recovery(policy, self.rescheduler);
         }
 
-        let stats = if epoch_sharded {
+        let stats = if let Some(plan) = dag_plan {
             let max_events = self.max_events.unwrap_or(Kernel::DEFAULT_MAX_EVENTS);
-            match dag_plan {
-                Some(plan) => crate::sharded::run_epochs_dag(
-                    &mut world,
-                    &mut dcs,
-                    &mut broker,
-                    max_events,
-                    plan,
-                ),
-                None => crate::sharded::run_epochs(&mut world, &mut dcs, &mut broker, max_events),
-            }
+            crate::sharded::run(&mut world, &mut dcs, &mut broker, max_events, plan)
         } else {
             let mut kernel = Kernel::new();
             if let Some(max) = self.max_events {
@@ -458,15 +425,10 @@ impl SimulationBuilder {
             });
         }
 
-        let engine = if epoch_sharded {
-            EngineKind::Sharded
-        } else {
-            EngineKind::Sequential
-        };
         Ok(outcome_from_world(
             &world,
             stats,
-            engine,
+            self.engine,
             self.record_mode,
             None,
         ))
@@ -1042,7 +1004,7 @@ mod tests {
             .unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
         assert_eq!(ok.fallback, None);
-        // An all-healthy plan injects nothing: the free-running path.
+        // An all-healthy plan injects nothing: a plain batch run.
         let ok = base().faults(FaultPlan::healthy()).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
         assert_eq!(ok.fallback, None);

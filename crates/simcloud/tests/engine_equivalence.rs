@@ -287,6 +287,78 @@ fn sharded_results_are_thread_count_independent() {
     }
 }
 
+/// A datacenter too small for its fleet rejects VMs; the cloudlets
+/// bound to them fail (with their descendants, under a DAG) exactly as
+/// on the kernel, for batch, staggered and workflow submissions.
+#[test]
+fn rejected_vms_fail_their_cloudlets_on_both_engines() {
+    let (vm_count, cloudlet_count) = (8, 40);
+    let run = |engine: EngineKind, arrivals: bool, chain: bool| {
+        let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);
+        let cloudlets: Vec<CloudletSpec> = (0..cloudlet_count)
+            .map(|i| CloudletSpec::new(1_000.0 + 750.0 * (i % 5) as f64, 40.0, 20.0, 1))
+            .collect();
+        // Room for 3 of the 8 VMs.
+        let mut builder = SimulationBuilder::new()
+            .engine(engine)
+            .datacenter(DatacenterBlueprint::sized_for(
+                &vm,
+                3,
+                1,
+                DatacenterCharacteristics::default(),
+            ))
+            .vms(vec![vm; vm_count])
+            .cloudlets(cloudlets)
+            .assignment(
+                (0..cloudlet_count)
+                    .map(|i| VmId::from_index(i % vm_count))
+                    .collect(),
+            );
+        if arrivals {
+            builder = builder.arrivals(
+                (0..cloudlet_count)
+                    .map(|i| SimTime::new(37.0 * (i % 6) as f64))
+                    .collect(),
+            );
+        }
+        if chain {
+            // Cloudlet i waits for i − 8 (same VM) and i − 3 (another VM).
+            builder = builder.dependencies(
+                (0..cloudlet_count)
+                    .map(|i| {
+                        [i.checked_sub(vm_count), i.checked_sub(3)]
+                            .into_iter()
+                            .flatten()
+                            .map(CloudletId::from_index)
+                            .collect()
+                    })
+                    .collect(),
+            );
+        }
+        builder.run().expect("rejections are not errors")
+    };
+    for threads in [1usize, 4] {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global()
+            .expect("vendored rayon accepts repeated global builds");
+        for (arrivals, chain) in [(false, false), (true, false), (false, true), (true, true)] {
+            let seq = run(EngineKind::Sequential, arrivals, chain);
+            let shd = run(EngineKind::Sharded, arrivals, chain);
+            let label = format!("{threads} threads / arrivals {arrivals} / chain {chain}");
+            assert_eq!(seq.vms_created, 3, "{label}");
+            assert_eq!(seq.vms_rejected, 5, "{label}");
+            assert!(
+                seq.cloudlets_failed >= 25,
+                "{label}: rejected VMs fail work"
+            );
+            assert!(seq.finished_count() > 0, "{label}: surviving VMs work");
+            assert_eq!(shd.engine, EngineKind::Sharded);
+            assert_identical(&seq, &shd, &label);
+        }
+    }
+}
+
 #[test]
 fn workflow_dag_and_resilience_shapes_all_run_sharded() {
     let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);

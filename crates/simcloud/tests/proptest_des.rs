@@ -38,8 +38,9 @@ fn raw_scenario() -> impl Strategy<Value = RawScenario> {
         })
 }
 
-fn run(raw: &RawScenario) -> SimulationOutcome {
-    // One roomy host per VM: every VM is created, nothing is rejected.
+/// The raw scenario as a builder: one roomy host per VM, so every VM is
+/// created and nothing is rejected.
+fn builder(raw: &RawScenario) -> SimulationBuilder {
     let envelope = VmSpec {
         mips: raw.vms.iter().map(|v| v.mips).fold(0.0, f64::max),
         size_mb: 5_000.0,
@@ -63,8 +64,153 @@ fn run(raw: &RawScenario) -> SimulationOutcome {
         .vms(raw.vms.clone())
         .cloudlets(raw.cloudlets.clone())
         .assignment(raw.assignment.clone())
+}
+
+fn run(raw: &RawScenario) -> SimulationOutcome {
+    builder(raw)
         .run()
         .expect("raw scenarios are feasible by construction")
+}
+
+/// Workflow chains layered on a raw scenario.
+#[derive(Debug, Clone, Copy)]
+enum Chains {
+    None,
+    /// Each cloudlet waits for the previous cloudlet on its own VM.
+    SameVm,
+    /// Each cloudlet waits for the previous cloudlet by index, which the
+    /// strided assignment mostly places on another VM.
+    CrossVm,
+    Both,
+}
+
+/// A raw scenario plus the shaping the sharded engine must replay
+/// exactly: uniform input sizes (so same-VM submissions travel as one
+/// batch), staggered arrivals, one mid-run host failure (with or without
+/// broker recovery), dependency chains, and a thread count.
+#[derive(Debug, Clone)]
+struct Shaped {
+    raw: RawScenario,
+    arrivals: Option<Vec<SimTime>>,
+    /// `(host, fail_at_ms, recover)`.
+    failure: Option<(usize, f64, bool)>,
+    chains: Chains,
+    threads: usize,
+}
+
+fn shaped_scenario() -> impl Strategy<Value = Shaped> {
+    (
+        raw_scenario(),
+        prop::bool::ANY,
+        prop::bool::ANY,
+        // One arrival per possible cloudlet (`raw_scenario` draws < 40).
+        prop::collection::vec(0.0f64..500.0, 40..41),
+        (0u32..3, any::<u64>(), 100.0f64..15_000.0),
+        0usize..4,
+        prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    )
+        .prop_map(
+            |(mut raw, uniform, staggered, times, (fault, host_pick, fail_at), chains, threads)| {
+                if uniform {
+                    let file_mb = raw.cloudlets[0].file_size_mb;
+                    for cl in &mut raw.cloudlets {
+                        cl.file_size_mb = file_mb;
+                    }
+                }
+                let n = raw.cloudlets.len();
+                Shaped {
+                    arrivals: staggered
+                        .then(|| times[..n].iter().map(|&t| SimTime::new(t)).collect()),
+                    failure: (fault > 0)
+                        .then(|| ((host_pick as usize) % raw.vms.len(), fail_at, fault == 2)),
+                    chains: [Chains::None, Chains::SameVm, Chains::CrossVm, Chains::Both][chains],
+                    threads,
+                    raw,
+                }
+            },
+        )
+}
+
+fn chain_parents(raw: &RawScenario, chains: Chains) -> Option<Vec<Vec<CloudletId>>> {
+    let (same_vm, cross_vm) = match chains {
+        Chains::None => return None,
+        Chains::SameVm => (true, false),
+        Chains::CrossVm => (false, true),
+        Chains::Both => (true, true),
+    };
+    let mut last_on_vm: Vec<Option<CloudletId>> = vec![None; raw.vms.len()];
+    let parents = (0..raw.cloudlets.len())
+        .map(|i| {
+            let vm = raw.assignment[i].index();
+            let mut ps = Vec::new();
+            if same_vm {
+                ps.extend(last_on_vm[vm]);
+            }
+            if cross_vm && i > 0 && !ps.contains(&CloudletId::from_index(i - 1)) {
+                ps.push(CloudletId::from_index(i - 1));
+            }
+            last_on_vm[vm] = Some(CloudletId::from_index(i));
+            ps
+        })
+        .collect();
+    Some(parents)
+}
+
+fn run_shaped(s: &Shaped, engine: EngineKind) -> SimulationOutcome {
+    let mut b = builder(&s.raw).engine(engine);
+    if let Some(arrivals) = &s.arrivals {
+        b = b.arrivals(arrivals.clone());
+    }
+    if let Some(parents) = chain_parents(&s.raw, s.chains) {
+        b = b.dependencies(parents);
+    }
+    if let Some((host, fail_at, recover)) = s.failure {
+        let mut plan = FaultPlan::healthy();
+        plan.host_outages.push(HostOutage {
+            datacenter: DatacenterId(0),
+            host: HostId::from_index(host),
+            fail_at: SimTime::new(fail_at),
+            repair_at: None,
+        });
+        b = b.faults(plan);
+        if recover {
+            b = b.recovery(RecoveryPolicy::default());
+        }
+    }
+    b.run().expect("shaped scenarios are valid by construction")
+}
+
+/// A record with every f64 as its bit pattern, for exact comparison.
+type RecordBits = (
+    CloudletId,
+    Option<VmId>,
+    CloudletStatus,
+    [Option<u64>; 4],
+    u64,
+    Option<bool>,
+);
+
+fn record_bits(outcome: &SimulationOutcome) -> Vec<RecordBits> {
+    let t = |v: Option<SimTime>| v.map(|t| t.as_millis().to_bits());
+    outcome
+        .records
+        .iter()
+        .map(|r| {
+            (
+                r.id,
+                r.vm,
+                r.status,
+                [
+                    t(r.submit),
+                    t(r.start),
+                    t(r.finish),
+                    r.execution_ms.map(f64::to_bits),
+                ],
+                r.cost.to_bits(),
+                r.met_deadline,
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -128,6 +274,32 @@ proptest! {
             prop_assert_eq!(ra.finish, rb.finish);
             prop_assert_eq!(ra.start, rb.start);
         }
+    }
+
+    /// The sharded engine replays every shape bit-identically to the
+    /// sequential kernel, at any thread count.
+    #[test]
+    fn sharded_matches_sequential(s in shaped_scenario()) {
+        let seq = run_shaped(&s, EngineKind::Sequential);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(s.threads)
+            .build_global()
+            .expect("vendored rayon accepts repeated global builds");
+        let shd = run_shaped(&s, EngineKind::Sharded);
+        prop_assert_eq!(shd.engine, EngineKind::Sharded);
+        prop_assert_eq!(record_bits(&seq), record_bits(&shd));
+        prop_assert_eq!(
+            seq.end_time.as_millis().to_bits(),
+            shd.end_time.as_millis().to_bits()
+        );
+        prop_assert_eq!(seq.events_processed, shd.events_processed);
+        let (a, b) = (&seq.resilience, &shd.resilience);
+        prop_assert_eq!(
+            (a.retries, a.recovered, a.abandoned),
+            (b.retries, b.recovered, b.abandoned)
+        );
+        prop_assert_eq!(a.wasted_work_ms.to_bits(), b.wasted_work_ms.to_bits());
+        prop_assert_eq!(a.recovery_time_ms.to_bits(), b.recovery_time_ms.to_bits());
     }
 
     /// Fluid lower bound per VM: the last completion on a VM can never
