@@ -2,7 +2,7 @@
 //!
 //! Runs the seeded chaos campaign — host-failure fractions crossed with
 //! the paper's four schedulers, each point repeated over seeds — through
-//! [`biosched_workload::resilience::resilience_sweep`] on **both**
+//! [`biosched_workload::sweep::sweep_grid`] on **both**
 //! engines (sequential kernel and epoch-sharded replay) and records the
 //! recovery metrics (completion ratio, goodput, retries, wasted work,
 //! MTTR) plus the simulated makespan, one row per engine.
@@ -20,15 +20,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use biosched_bench::figures::{chaos_scenario, CHAOS_POLICY};
 use biosched_core::scheduler::AlgorithmKind;
-use biosched_workload::heterogeneous::HeterogeneousScenario;
-use biosched_workload::resilience::{
-    inject_faults, resilience_sweep, run_resilient_point, ResilienceSummary,
+use biosched_core::tuning::SchedTuning;
+use biosched_workload::sweep::{
+    run_point_with, summarize_reps, sweep_grid, PointArtifacts, RepeatedMetric, RepeatedPointResult,
 };
-use biosched_workload::sweep::RepeatedMetric;
-use simcloud::broker::RecoveryPolicy;
-use simcloud::faults::FaultSpec;
 use simcloud::simulation::EngineKind;
+use simcloud::stats::RecordMode;
 
 /// Host-failure fractions swept (0 = control row: must be fault-free).
 const FRACTIONS: &[f64] = &[0.0, 0.1, 0.25, 0.5];
@@ -93,13 +92,7 @@ fn main() {
             .expect("thread pool");
     }
 
-    let spec = FaultSpec::default();
-    let policy = RecoveryPolicy {
-        max_attempts: 6,
-        base_backoff_ms: 500.0,
-        backoff_factor: 2.0,
-        max_backoff_ms: 4_000.0,
-    };
+    let policy = CHAOS_POLICY;
     let algorithms = AlgorithmKind::PAPER_SET;
     eprintln!(
         "chaos campaign: {} fractions × {} algorithms × {reps} seeds × {} engines, \
@@ -113,33 +106,28 @@ fn main() {
     // the rep index, so sweeping fractions one at a time is
     // metric-identical to one grid call — it just gives wall clock the
     // per-fraction resolution the sequential-vs-sharded comparison needs.
-    let mut per_engine: Vec<Vec<Vec<ResilienceSummary>>> = Vec::new();
+    let mut per_engine: Vec<Vec<Vec<RepeatedPointResult>>> = Vec::new();
     let mut walls: Vec<Vec<f64>> = Vec::new();
     for &engine in &engines {
         let mut rows = Vec::new();
         let mut row_walls = Vec::new();
         for &fraction in FRACTIONS {
             let wall = Instant::now();
-            let mut result = resilience_sweep(
-                &[fraction],
+            let grid = sweep_grid(
+                &[vms],
                 &algorithms,
-                &spec,
-                policy,
+                &SchedTuning::default(),
                 seed,
                 reps,
                 engine,
-                |s| {
-                    HeterogeneousScenario {
-                        vm_count: vms,
-                        cloudlet_count: cloudlets,
-                        datacenter_count: 4,
-                        seed: s,
-                    }
-                    .build()
-                },
-            );
+                |vms, s| chaos_scenario(vms, cloudlets, fraction, s),
+            )
+            .unwrap_or_else(|e| panic!("resilience point failed: {e}"));
             row_walls.push(wall.elapsed().as_secs_f64() * 1_000.0);
-            rows.push(result.pop().expect("one fraction in, one row out"));
+            let [row] = grid.as_slice() else {
+                unreachable!("one point in, one row out")
+            };
+            rows.push(row.iter().map(|reps| summarize_reps(reps)).collect());
         }
         eprintln!(
             "{:>10}: {:.0} ms wall ({})",
@@ -207,19 +195,17 @@ fn main() {
     let big_fraction = *FRACTIONS.last().expect("non-empty fractions");
     let mut big_runs = Vec::new();
     for &engine in &engines {
-        let mut scenario = HeterogeneousScenario {
-            vm_count: big_vms,
-            cloudlet_count: big_cloudlets,
-            datacenter_count: 4,
-            seed,
-        }
-        .build();
-        let mut spec = spec.clone();
-        spec.host_fail_fraction = big_fraction;
-        inject_faults(&mut scenario, &spec, seed, policy);
+        let scenario = chaos_scenario(big_vms, big_cloudlets, big_fraction, seed);
         let wall = Instant::now();
-        let point = run_resilient_point(&scenario, AlgorithmKind::BaseTest, seed, engine)
-            .expect("big fault point");
+        let (point, _) = run_point_with(
+            &PointArtifacts::build(scenario),
+            AlgorithmKind::BaseTest,
+            &SchedTuning::default(),
+            seed,
+            engine,
+            RecordMode::Aggregate,
+        )
+        .expect("big fault point");
         let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
         eprintln!(
             "largest point ({big_vms} VMs / {big_cloudlets} cloudlets, fraction {big_fraction}): \

@@ -32,10 +32,12 @@ use biosched_core::eval::EvalCache;
 use biosched_core::objective::Objective;
 use biosched_core::racing::{standalone_scores, RaceParams, RacingScheduler};
 use biosched_core::scheduler::{AlgorithmKind, Scheduler};
+use biosched_core::tuning::SchedTuning;
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::run_point_on;
+use biosched_workload::sweep::{run_point_with, PointArtifacts};
 use simcloud::simulation::EngineKind;
+use simcloud::stats::RecordMode;
 
 fn set_threads(n: usize) {
     rayon::ThreadPoolBuilder::new()
@@ -184,16 +186,15 @@ fn main() {
             "grid tier: {GRID_VMS} VMs / {GRID_CLOUDLETS} cloudlets, threads {{1, 4}}, \
              sequential x sharded engine cross-check"
         );
-        let s = scenario(GRID_VMS, GRID_CLOUDLETS, seed);
-        let problem = s.problem();
-        let cache = EvalCache::new(&problem);
+        let artifacts = PointArtifacts::build(scenario(GRID_VMS, GRID_CLOUDLETS, seed));
+        let (problem, cache) = (&artifacts.problem, &artifacts.cache);
         set_threads(1);
         let mut racer = RacingScheduler::new(params.clone(), seed);
-        let base_plan = racer.schedule_with_cache(&problem, &cache);
+        let base_plan = racer.schedule_with_cache(problem, cache);
         let base_report = racer.last_report().expect("race ran").clone();
         set_threads(4);
         let mut racer = RacingScheduler::new(params.clone(), seed);
-        let again_plan = racer.schedule_with_cache(&problem, &cache);
+        let again_plan = racer.schedule_with_cache(problem, cache);
         let again_report = racer.last_report().expect("race ran").clone();
         assert_eq!(base_plan, again_plan, "race plan changed with thread count");
         assert_eq!(
@@ -203,8 +204,19 @@ fn main() {
         // Through the sweep layer on both engines: every simulated
         // metric and the provenance columns must agree bit for bit.
         let kind = AlgorithmKind::Racing(Objective::Makespan);
-        let seq = run_point_on(&s, kind, seed, EngineKind::Sequential);
-        let sh = run_point_on(&s, kind, seed, EngineKind::Sharded);
+        let point = |engine| {
+            run_point_with(
+                &artifacts,
+                kind,
+                &SchedTuning::default(),
+                seed,
+                engine,
+                RecordMode::Aggregate,
+            )
+            .expect("racer point")
+            .0
+        };
+        let (seq, sh) = (point(EngineKind::Sequential), point(EngineKind::Sharded));
         assert_eq!(
             seq.simulation_time_ms.to_bits(),
             sh.simulation_time_ms.to_bits(),

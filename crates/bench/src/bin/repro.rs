@@ -512,10 +512,12 @@ fn main() -> ExitCode {
             }
         }
         "resilience" => {
-            use biosched_workload::heterogeneous::HeterogeneousScenario;
-            use biosched_workload::resilience::resilience_sweep;
-            use simcloud::broker::RecoveryPolicy;
-            use simcloud::faults::FaultSpec;
+            use biosched_bench::figures::chaos_scenario;
+            use biosched_core::tuning::SchedTuning;
+            use biosched_workload::sweep::{
+                run_point_with, summarize_reps, sweep_grid, PointArtifacts,
+            };
+            use simcloud::stats::RecordMode;
 
             let fractions = [0.0, 0.1, 0.25, 0.5];
             let algorithms = biosched_core::scheduler::AlgorithmKind::PAPER_SET;
@@ -531,31 +533,17 @@ fn main() -> ExitCode {
                 opts.seed,
                 opts.engine
             );
-            let spec = FaultSpec::default();
-            let policy = RecoveryPolicy {
-                max_attempts: 6,
-                base_backoff_ms: 500.0,
-                backoff_factor: 2.0,
-                max_backoff_ms: 4_000.0,
-            };
-            let results = resilience_sweep(
-                &fractions,
+            // The grid's x-axis indexes `fractions`.
+            let grid = sweep_grid(
+                &(0..fractions.len()).collect::<Vec<_>>(),
                 &algorithms,
-                &spec,
-                policy,
+                &SchedTuning::default(),
                 opts.seed,
                 reps,
                 opts.engine,
-                |seed| {
-                    HeterogeneousScenario {
-                        vm_count: 40,
-                        cloudlet_count: cloudlets,
-                        datacenter_count: 4,
-                        seed,
-                    }
-                    .build()
-                },
-            );
+                |fi, seed| chaos_scenario(40, cloudlets, fractions[fi], seed),
+            )
+            .unwrap_or_else(|e| panic!("resilience point failed: {e}"));
             let mut t = Table::new(vec![
                 "host fail rate".to_string(),
                 "algorithm".to_string(),
@@ -566,8 +554,8 @@ fn main() -> ExitCode {
                 "MTTR ms (±CI95)".to_string(),
                 "makespan ms (±CI95)".to_string(),
             ]);
-            for (f, row) in fractions.iter().zip(&results) {
-                for r in row {
+            for (f, row) in fractions.iter().zip(&grid) {
+                for r in row.iter().map(|reps| summarize_reps(reps)) {
                     let pm = |m: &biosched_workload::sweep::RepeatedMetric| {
                         format!("{} ±{}", fmt_value(m.mean), fmt_value(m.ci95))
                     };
@@ -597,7 +585,6 @@ fn main() -> ExitCode {
             // Base Test binder so the engines — not the optimizers —
             // set the wall clock. Runs on both engines and checks the
             // metrics agree to the bit.
-            use biosched_workload::resilience::{inject_faults, run_resilient_point};
             use std::time::Instant;
 
             let spot_vms = (100_000 / opts.scale).max(40);
@@ -610,22 +597,15 @@ fn main() -> ExitCode {
             );
             let mut spot = Vec::new();
             for engine in [EngineKind::Sequential, EngineKind::Sharded] {
-                let mut scenario = HeterogeneousScenario {
-                    vm_count: spot_vms,
-                    cloudlet_count: spot_cloudlets,
-                    datacenter_count: 4,
-                    seed: opts.seed,
-                }
-                .build();
-                let mut spot_spec = spec.clone();
-                spot_spec.host_fail_fraction = spot_fraction;
-                inject_faults(&mut scenario, &spot_spec, opts.seed, policy);
+                let scenario = chaos_scenario(spot_vms, spot_cloudlets, spot_fraction, opts.seed);
                 let wall = Instant::now();
-                let point = run_resilient_point(
-                    &scenario,
+                let (point, _) = run_point_with(
+                    &PointArtifacts::build(scenario),
                     biosched_core::scheduler::AlgorithmKind::BaseTest,
+                    &SchedTuning::default(),
                     opts.seed,
                     engine,
+                    RecordMode::Aggregate,
                 )
                 .expect("spotlight point");
                 let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;

@@ -31,7 +31,7 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn run_point(vms: usize, cloudlets: usize, engine: &str) {
+fn time_point(vms: usize, cloudlets: usize, engine: &str) {
     let scenario = HomogeneousScenario {
         vm_count: vms,
         cloudlet_count: cloudlets,
@@ -144,7 +144,7 @@ fn main() {
             .num_threads(threads)
             .build_global()
             .expect("thread pool");
-        run_point(vms, cloudlets, &engine);
+        time_point(vms, cloudlets, &engine);
         return;
     }
 

@@ -6,15 +6,24 @@
 //!
 //! | Function | Paper figure | Metric |
 //! |---|---|---|
-//! | [`homogeneous_sweep`] (small axis) | Fig. 4a + Fig. 5a | simulation & scheduling time |
-//! | [`homogeneous_sweep`] (large axis) | Fig. 4b + Fig. 5b | simulation & scheduling time |
-//! | [`heterogeneous_sweep`] | Fig. 6a–6d | all four metrics |
+//! | [`homogeneous_sweep_on`] (small axis) | Fig. 4a + Fig. 5a | simulation & scheduling time |
+//! | [`homogeneous_sweep_on`] (large axis) | Fig. 4b + Fig. 5b | simulation & scheduling time |
+//! | [`heterogeneous_sweep_on`] | Fig. 6a–6d | all four metrics |
+//! | [`heterogeneous_sweep_repeated_on`] | Fig. 6 with error bars | all four metrics, ±CI95 |
+//! | [`chaos_scenario`] (one grid point per failure rate) | resilience (beyond the paper) | completion, goodput, retries, wasted work, MTTR |
 
 use biosched_core::scheduler::AlgorithmKind;
+use biosched_core::tuning::SchedTuning;
 use biosched_metrics::series::FigureSeries;
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::homogeneous::HomogeneousScenario;
-use biosched_workload::sweep::{sweep_on, PointResult};
+use biosched_workload::resilience::inject_faults;
+use biosched_workload::scenario::Scenario;
+use biosched_workload::sweep::{
+    summarize_reps, sweep_grid, sweep_on, PointResult, RepeatedPointResult,
+};
+use simcloud::broker::RecoveryPolicy;
+use simcloud::faults::FaultSpec;
 use simcloud::simulation::EngineKind;
 
 /// Which metric of a [`PointResult`] a figure plots.
@@ -76,16 +85,12 @@ pub fn figure_from_results(
     fig
 }
 
-/// Runs the homogeneous sweep behind Figs. 4 and 5.
+/// Runs the homogeneous sweep behind Figs. 4 and 5, simulated on
+/// `engine`.
 ///
 /// `scale` divides the paper's sizes (see
 /// [`HomogeneousScenario::scaled`]); 1 reproduces the paper exactly.
 /// Returns the raw results for the given VM-count points.
-pub fn homogeneous_sweep(points: &[usize], scale: usize, seed: u64) -> Vec<Vec<PointResult>> {
-    homogeneous_sweep_on(points, scale, seed, EngineKind::Sequential)
-}
-
-/// [`homogeneous_sweep`] simulated on a chosen engine.
 pub fn homogeneous_sweep_on(
     points: &[usize],
     scale: usize,
@@ -97,12 +102,8 @@ pub fn homogeneous_sweep_on(
     })
 }
 
-/// Runs the heterogeneous sweep behind Figs. 6a–6d.
-pub fn heterogeneous_sweep(points: &[usize], cloudlets: usize, seed: u64) -> Vec<Vec<PointResult>> {
-    heterogeneous_sweep_on(points, cloudlets, seed, EngineKind::Sequential)
-}
-
-/// [`heterogeneous_sweep`] simulated on a chosen engine.
+/// Runs the heterogeneous sweep behind Figs. 6a–6d, simulated on
+/// `engine`.
 pub fn heterogeneous_sweep_on(
     points: &[usize],
     cloudlets: usize,
@@ -121,30 +122,20 @@ pub fn heterogeneous_sweep_on(
 }
 
 /// Fig. 6 with error bars: every point aggregated over `reps` seeds
-/// (workload *and* scheduler seed vary together). Returns, per VM point,
-/// one [`RepeatedPointResult`](biosched_workload::sweep::RepeatedPointResult)
-/// per paper algorithm.
-pub fn heterogeneous_sweep_repeated(
-    points: &[usize],
-    cloudlets: usize,
-    base_seed: u64,
-    reps: usize,
-) -> Vec<Vec<biosched_workload::sweep::RepeatedPointResult>> {
-    heterogeneous_sweep_repeated_on(points, cloudlets, base_seed, reps, EngineKind::Sequential)
-}
-
-/// [`heterogeneous_sweep_repeated`] with every repetition simulated on a
-/// chosen engine.
+/// (workload *and* scheduler seed vary together), every repetition
+/// simulated on `engine`. Returns, per VM point, one
+/// [`RepeatedPointResult`] per paper algorithm.
 pub fn heterogeneous_sweep_repeated_on(
     points: &[usize],
     cloudlets: usize,
     base_seed: u64,
     reps: usize,
     engine: EngineKind,
-) -> Vec<Vec<biosched_workload::sweep::RepeatedPointResult>> {
-    biosched_workload::sweep::sweep_repeated_on(
+) -> Vec<Vec<RepeatedPointResult>> {
+    sweep_grid(
         points,
         &AlgorithmKind::PAPER_SET,
+        &SchedTuning::default(),
         base_seed,
         reps,
         engine,
@@ -158,6 +149,39 @@ pub fn heterogeneous_sweep_repeated_on(
             .build()
         },
     )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .iter()
+    .map(|row| row.iter().map(|reps| summarize_reps(reps)).collect())
+    .collect()
+}
+
+/// Retry policy of the chaos campaign: enough budget to outlast the
+/// default fault spec's repairs.
+pub const CHAOS_POLICY: RecoveryPolicy = RecoveryPolicy {
+    max_attempts: 6,
+    base_backoff_ms: 500.0,
+    backoff_factor: 2.0,
+    max_backoff_ms: 4_000.0,
+};
+
+/// One chaos-campaign scenario (`repro resilience`, `faultbench`): the
+/// four-datacenter heterogeneous workload armed with the default
+/// [`FaultSpec`] at host-failure fraction `fraction` and
+/// [`CHAOS_POLICY`]; the fault seed is the workload seed.
+pub fn chaos_scenario(vms: usize, cloudlets: usize, fraction: f64, seed: u64) -> Scenario {
+    let mut scenario = HeterogeneousScenario {
+        vm_count: vms,
+        cloudlet_count: cloudlets,
+        datacenter_count: 4,
+        seed,
+    }
+    .build();
+    let spec = FaultSpec {
+        host_fail_fraction: fraction,
+        ..FaultSpec::default()
+    };
+    inject_faults(&mut scenario, &spec, seed, CHAOS_POLICY);
+    scenario
 }
 
 #[cfg(test)]
@@ -167,7 +191,7 @@ mod tests {
     #[test]
     fn figure_extraction_orders_series_like_algorithms() {
         let points = [4usize, 8];
-        let results = homogeneous_sweep(&points, 1_000, 0);
+        let results = homogeneous_sweep_on(&points, 1_000, 0, EngineKind::Sequential);
         let fig = figure_from_results("t", &points, &results, Metric::SimulationTime);
         assert_eq!(fig.series.len(), 4);
         assert_eq!(fig.series[0].0, "AntColony");
@@ -178,7 +202,7 @@ mod tests {
     #[test]
     fn metrics_extract_expected_fields() {
         let points = [6usize];
-        let results = heterogeneous_sweep(&points, 30, 1);
+        let results = heterogeneous_sweep_on(&points, 30, 1, EngineKind::Sequential);
         let r = &results[0][0];
         assert_eq!(Metric::SimulationTime.of(r), r.simulation_time_ms);
         assert_eq!(Metric::SchedulingTime.of(r), r.scheduling_time_ms);

@@ -1,17 +1,13 @@
 //! The CLI subcommands.
 
-use std::time::Instant;
-
 use biosched_core::scheduler::AlgorithmKind;
 use biosched_core::workflow::heft;
 use biosched_metrics::distribution::percentile;
 use biosched_metrics::report::{fmt_value, Table};
-use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::sweep_on;
+use biosched_workload::sweep::{run_point_with, sweep_grid, PointArtifacts, PointResult};
 use biosched_workload::workflow;
 use simcloud::energy::{estimate_energy, PowerModel};
-use simcloud::simulation::EngineKind;
-use simcloud::stats::SimulationOutcome;
+use simcloud::stats::{RecordMode, SimulationOutcome};
 
 use crate::args::{
     parse_algorithm, parse_algorithm_list, parse_common, parse_usize_list, CommonOpts,
@@ -27,13 +23,20 @@ usage: biosched <command> [options]
 commands:
   run --algorithm <name>      run one scheduler, print every metric
   compare --algorithms a,b,c  run several schedulers side by side
-  sweep --points 50,150,...   sweep the VM count, print/export series
+  sweep --points 50,150,...   sweep the VM count, print/export series;
+                              like run and compare, it applies
+                              --sched-params and re-plans --faults retries
+                              with the scheduler under test
   workflow --shape <shape>    schedule a DAG (chain|fork-join|layered|layered-sparse|ensemble)
   online --waves N            re-invoke the scheduler per arrival wave
   stream --waves N            streaming broker: warm-state incremental
                               replanning per wave (--cold for the control
                               arm) with queueing/latency metrics
   describe                    print the scenario a given option set builds
+
+run and compare build one evaluation cache per scenario and share it
+across schedulers; their 'sched (ms)' column times the scheduler call
+only, not the cache build.
 
 scenario options (all commands):
   --vms N          fleet size (default 50)
@@ -79,69 +82,65 @@ examples:
   biosched stream --algorithm aco --waves 8 --poisson --engine sharded"
 }
 
-/// Collects every metric for one (scenario, algorithm) pair.
-struct RunResult {
-    name: String,
-    scheduling_ms: f64,
-    outcome: SimulationOutcome,
-    meta: Option<biosched_core::scheduler::MetaProvenance>,
+/// Runs each algorithm over one shared [`PointArtifacts`] built from
+/// `opts`, keeping full records for the p99 turnaround column.
+fn run_points(
+    opts: &CommonOpts,
+    algorithms: &[AlgorithmKind],
+) -> Result<Vec<(PointResult, SimulationOutcome)>, String> {
+    let artifacts = PointArtifacts::build(build_scenario(opts));
+    algorithms
+        .iter()
+        .map(|&kind| {
+            let run = run_point_with(
+                &artifacts,
+                kind,
+                &opts.sched_params,
+                opts.seed,
+                opts.engine,
+                RecordMode::Full,
+            )?;
+            note_fallback(&run.1);
+            Ok(run)
+        })
+        .collect()
 }
 
-fn run_one(
-    scenario: &Scenario,
-    kind: AlgorithmKind,
-    tuning: &biosched_core::tuning::SchedTuning,
-    seed: u64,
-    engine: EngineKind,
-) -> Result<RunResult, String> {
-    let problem = scenario.problem();
-    let mut scheduler = tuning.build(kind, seed)?;
-    let started = Instant::now();
-    let assignment = scheduler.schedule(&problem);
-    let scheduling_ms = started.elapsed().as_secs_f64() * 1_000.0;
-    let meta = scheduler.last_meta();
-    assignment
-        .validate(&problem)
-        .map_err(|e| format!("{kind} produced an invalid plan: {e}"))?;
-    let outcome = if scenario.recovery.is_some() {
-        // Fault-armed scenario: the same scheduler instance re-plans
-        // every retry batch over the surviving fleet.
-        let rescheduler = biosched_workload::resilience::CacheRescheduler::new(scheduler, problem);
-        scenario.simulate_resilient(
-            assignment,
-            engine,
-            simcloud::stats::RecordMode::Full,
-            Box::new(rescheduler),
-        )
-    } else {
-        scenario.simulate_on(assignment, engine)
-    }
-    .map_err(|e| format!("simulation failed: {e}"))?;
-    note_fallback(&outcome);
-    Ok(RunResult {
-        name: kind.label().to_string(),
-        scheduling_ms,
-        outcome,
-        meta,
-    })
+/// Runs every algorithm at every VM-count point through the shared grid,
+/// each point built from `opts` with its `vms` replaced.
+fn sweep_points(
+    opts: &CommonOpts,
+    points: &[usize],
+    algorithms: &[AlgorithmKind],
+) -> Result<Vec<Vec<PointResult>>, String> {
+    let grid = sweep_grid(
+        points,
+        algorithms,
+        &opts.sched_params,
+        opts.seed,
+        1,
+        opts.engine,
+        |vms, _| {
+            build_scenario(&CommonOpts {
+                vms,
+                ..opts.clone()
+            })
+        },
+    )?;
+    Ok(grid
+        .into_iter()
+        .map(|row| row.into_iter().flatten().collect())
+        .collect())
 }
 
 /// Prints meta-scheduler provenance (portfolio/racer winner and budget)
 /// after the metrics table.
-fn report_meta(results: &[RunResult]) {
-    for r in results {
-        if let Some(meta) = &r.meta {
-            let spent: Vec<String> = meta
-                .spent
-                .iter()
-                .map(|(name, units)| format!("{name}={units}"))
-                .collect();
+fn report_meta(results: &[(PointResult, SimulationOutcome)]) {
+    for (r, _) in results {
+        if let (Some(winner), Some(spent)) = (&r.meta_winner, &r.meta_spent) {
             println!(
-                "{}: winner {} after {} evaluation units ({})",
-                r.name,
-                meta.winner,
-                meta.total_units,
-                spent.join(", ")
+                "{}: winner {winner}, evaluation units spent {spent}",
+                r.algorithm.label()
             );
         }
     }
@@ -161,27 +160,40 @@ fn note_fallback(outcome: &SimulationOutcome) {
 }
 
 /// Prints resilience counters after the metrics table when faults ran.
-fn report_resilience(results: &[RunResult]) {
-    for r in results {
-        let res = &r.outcome.resilience;
-        if res.retries == 0 && res.abandoned == 0 && res.wasted_work_ms == 0.0 {
+fn report_resilience(results: &[(PointResult, SimulationOutcome)]) {
+    for (r, _) in results {
+        if r.retries == 0 && r.abandoned == 0 && r.wasted_work_ms == 0.0 {
             continue;
         }
         println!(
             "{}: completion {:.1}%, goodput {:.3}, {} retries, {} abandoned, \
              {:.0} ms wasted, MTTR {:.0} ms",
-            r.name,
-            r.outcome.completion_ratio().unwrap_or(1.0) * 100.0,
-            r.outcome.goodput().unwrap_or(1.0),
-            res.retries,
-            res.abandoned,
-            res.wasted_work_ms,
-            r.outcome.mean_time_to_recovery_ms().unwrap_or(0.0),
+            r.algorithm.label(),
+            r.completion_ratio * 100.0,
+            r.goodput,
+            r.retries,
+            r.abandoned,
+            r.wasted_work_ms,
+            r.mttr_ms,
         );
     }
 }
 
-fn metrics_table(results: &[RunResult], vm_count: usize) -> Table {
+/// Prints one warning per run that left cloudlets unfinished.
+fn report_unfinished(results: &[(PointResult, SimulationOutcome)]) {
+    for (r, _) in results {
+        if r.finished != r.cloudlet_count {
+            println!(
+                "warning: {} finished only {}/{} cloudlets",
+                r.algorithm.label(),
+                r.finished,
+                r.cloudlet_count
+            );
+        }
+    }
+}
+
+fn metrics_table(results: &[(PointResult, SimulationOutcome)], vm_count: usize) -> Table {
     let mut table = Table::new(vec![
         "scheduler",
         "sched (ms)",
@@ -192,23 +204,22 @@ fn metrics_table(results: &[RunResult], vm_count: usize) -> Table {
         "p99 turnaround (ms)",
         "energy (Wh)",
     ]);
-    for r in results {
-        let mut turnarounds: Vec<f64> = r
-            .outcome
+    for (r, outcome) in results {
+        let mut turnarounds: Vec<f64> = outcome
             .records
             .iter()
             .filter_map(|rec| Some(rec.finish?.saturating_sub(rec.submit?).as_millis()))
             .collect();
         turnarounds.sort_by(f64::total_cmp);
         let p99 = percentile(&turnarounds, 0.99).unwrap_or(0.0);
-        let energy = estimate_energy(&r.outcome, vm_count, &PowerModel::commodity_server());
+        let energy = estimate_energy(outcome, vm_count, &PowerModel::commodity_server());
         table.push_row(vec![
-            r.name.clone(),
-            fmt_value(r.scheduling_ms),
-            fmt_value(r.outcome.simulation_time_ms().unwrap_or(0.0)),
-            fmt_value(r.outcome.time_imbalance().unwrap_or(0.0)),
-            fmt_value(r.outcome.total_cost()),
-            r.outcome
+            r.algorithm.label().to_string(),
+            fmt_value(r.scheduling_time_ms),
+            fmt_value(r.simulation_time_ms),
+            fmt_value(r.imbalance),
+            fmt_value(r.total_cost),
+            outcome
                 .sla_attainment()
                 .map(|a| format!("{:.1}", a * 100.0))
                 .unwrap_or_else(|| "-".into()),
@@ -246,23 +257,16 @@ pub fn cmd_run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let scenario = build_scenario(&opts);
     println!("{}", describe_scenario(&opts));
-    let result = run_one(
-        &scenario,
-        algorithm,
-        &opts.sched_params,
-        opts.seed,
-        opts.engine,
-    )?;
-    if result.outcome.finished_count() != scenario.cloudlet_count() {
-        println!(
-            "warning: only {}/{} cloudlets finished",
-            result.outcome.finished_count(),
-            scenario.cloudlet_count()
-        );
-    }
-    let results = [result];
+    report_runs(&opts, &[algorithm])
+}
+
+/// Runs `algorithms` on the scenario `opts` describes and prints any
+/// unfinished-work warnings, the metrics table, meta-scheduler
+/// provenance and resilience counters.
+fn report_runs(opts: &CommonOpts, algorithms: &[AlgorithmKind]) -> Result<(), String> {
+    let results = run_points(opts, algorithms)?;
+    report_unfinished(&results);
     emit_table(&metrics_table(&results, opts.vms), opts.csv.as_deref())?;
     report_meta(&results);
     report_resilience(&results);
@@ -288,17 +292,8 @@ pub fn cmd_compare(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let scenario = build_scenario(&opts);
     println!("{}", describe_scenario(&opts));
-    let results: Result<Vec<RunResult>, String> = algorithms
-        .iter()
-        .map(|kind| run_one(&scenario, *kind, &opts.sched_params, opts.seed, opts.engine))
-        .collect();
-    let results = results?;
-    emit_table(&metrics_table(&results, opts.vms), opts.csv.as_deref())?;
-    report_meta(&results);
-    report_resilience(&results);
-    Ok(())
+    report_runs(&opts, &algorithms)
 }
 
 /// `biosched sweep`.
@@ -323,13 +318,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
         algorithms.len(),
         opts.cloudlets
     );
-    let base = opts.clone();
-    let results = sweep_on(&points, &algorithms, opts.seed, opts.engine, move |vms| {
-        build_scenario(&CommonOpts {
-            vms,
-            ..base.clone()
-        })
-    });
+    let results = sweep_points(&opts, &points, &algorithms)?;
     let mut table = Table::new(
         std::iter::once("VMs".to_string())
             .chain(algorithms.iter().flat_map(|a| {
@@ -797,6 +786,171 @@ mod tests {
             "--points 2,4 --algorithms base --cloudlets 8 --datacenters 2",
         ))
         .unwrap();
+    }
+
+    /// Runs a command with `--csv` into a private file and returns the
+    /// CSV as header → column of cells.
+    fn csv_columns(
+        cmd: fn(&[String]) -> Result<(), String>,
+        line: &str,
+        name: &str,
+    ) -> std::collections::HashMap<String, Vec<String>> {
+        let path = std::env::temp_dir().join(format!(
+            "biosched-cli-test-{}-{name}.csv",
+            std::process::id()
+        ));
+        cmd(&args(&format!("{line} --csv {}", path.display())))
+            .unwrap_or_else(|e| panic!("{line}: {e}"));
+        let csv = std::fs::read_to_string(&path).expect("command wrote its CSV");
+        std::fs::remove_file(&path).ok();
+        let mut lines = csv.lines().map(|l| l.split(',').map(String::from));
+        let headers: Vec<String> = lines.next().expect("CSV header").collect();
+        let rows: Vec<Vec<String>> = lines.map(Iterator::collect).collect();
+        headers
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| (h, rows.iter().map(|r| r[i].clone()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn sweep_applies_sched_params_like_compare() {
+        let tuned = "--cloudlets 200 --sched-params ants=1,iterations=1";
+        let sweep = csv_columns(
+            cmd_sweep,
+            &format!("--points 20 --algorithms aco {tuned}"),
+            "tuned-sweep",
+        );
+        let compare = csv_columns(
+            cmd_compare,
+            &format!("--vms 20 --algorithms aco {tuned}"),
+            "tuned-compare",
+        );
+        let untuned = csv_columns(
+            cmd_sweep,
+            "--points 20 --algorithms aco --cloudlets 200",
+            "untuned-sweep",
+        );
+        assert_eq!(
+            sweep["AntColony makespan"], compare["makespan (ms)"],
+            "sweep must run the tuned colony compare runs"
+        );
+        assert_eq!(sweep["AntColony cost"], compare["cost"]);
+        assert_ne!(
+            sweep["AntColony makespan"], untuned["AntColony makespan"],
+            "one ant for one iteration must plan differently from the default colony"
+        );
+        let err = cmd_sweep(&args("--points 20 --sched-params ant=1")).unwrap_err();
+        assert!(err.starts_with("bad --sched-params"), "{err}");
+    }
+
+    #[test]
+    fn sweep_replans_faults_like_compare_on_both_engines() {
+        let algorithms = [AlgorithmKind::HoneyBee, AlgorithmKind::AntColony];
+        for engine in ["sequential", "sharded"] {
+            let common = format!(
+                "--cloudlets 60 --engine {engine} \
+                 --faults hosts=0.5,fail=500..8000,repair=2000..5000"
+            );
+            let (sweep_opts, _) = parse_common(&args(&common)).unwrap();
+            let (compare_opts, _) = parse_common(&args(&format!("--vms 12 {common}"))).unwrap();
+            let sweep = sweep_points(&sweep_opts, &[12], &algorithms).unwrap();
+            let compare = run_points(&compare_opts, &algorithms).unwrap();
+            assert!(
+                compare.iter().any(|(r, _)| r.retries > 0),
+                "{engine}: half the hosts failing must force retries"
+            );
+            for (s, (c, _)) in sweep[0].iter().zip(&compare) {
+                let ctx = format!("{engine}, {}", s.algorithm);
+                assert_eq!(s.algorithm, c.algorithm, "{ctx}");
+                assert_eq!(
+                    s.simulation_time_ms.to_bits(),
+                    c.simulation_time_ms.to_bits(),
+                    "{ctx}: makespan"
+                );
+                assert_eq!(
+                    s.total_cost.to_bits(),
+                    c.total_cost.to_bits(),
+                    "{ctx}: cost"
+                );
+                assert_eq!(
+                    s.completion_ratio.to_bits(),
+                    c.completion_ratio.to_bits(),
+                    "{ctx}: completion"
+                );
+                assert_eq!(s.retries, c.retries, "{ctx}: retries");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_return_errors_without_panicking() {
+        let positive = "--vms, --cloudlets and --datacenters must be positive";
+        // Small scenarios, so a regression that accepts an input fails
+        // fast instead of running the default 50 × 500 point.
+        let cases = [
+            ("run --vms 0 --cloudlets 10", positive),
+            ("compare --vms 3 --cloudlets 0", positive),
+            (
+                "sweep --points 0 --cloudlets 10",
+                "numbers must be positive",
+            ),
+            (
+                "stream --waves 0 --vms 3 --cloudlets 10",
+                "--waves must be positive",
+            ),
+            (
+                "online --waves 0 --vms 3 --cloudlets 10",
+                "--waves must be positive",
+            ),
+            (
+                "run --threads 0 --vms 3 --cloudlets 10",
+                "--threads must be positive",
+            ),
+            (
+                "run --algorithm aco --sched-params ants=0 --vms 3 --cloudlets 10",
+                "bad --sched-params: ants must be at least 1",
+            ),
+            (
+                "run --algorithm csos --sched-params population=0 --vms 3 --cloudlets 10",
+                "bad --sched-params: population must be at least 1",
+            ),
+            (
+                "run --algorithm racing --sched-params budget=0 --vms 3 --cloudlets 10",
+                "bad --sched-params: budget must be at least 1",
+            ),
+            (
+                "run --algorithm racing --sched-params quantum=0 --vms 3 --cloudlets 10",
+                "bad --sched-params: quantum must be at least 1",
+            ),
+            (
+                "run --faults fail=5000..100 --vms 3 --cloudlets 10",
+                "FaultSpec.fail_window_ms must be an ascending non-negative range, got 5000..100",
+            ),
+            (
+                "run --faults repair=300..10 --vms 3 --cloudlets 10",
+                "FaultSpec.repair_after_ms must be an ascending non-negative range, got 300..10",
+            ),
+            (
+                "run --faults slow=0 --vms 3 --cloudlets 10",
+                "FaultSpec.straggler_factor must be in (0, 1], got 0",
+            ),
+            (
+                "run --faults slow=1.5 --vms 3 --cloudlets 10",
+                "FaultSpec.straggler_factor must be in (0, 1], got 1.5",
+            ),
+        ];
+        for (line, expected) in cases {
+            let err = dispatch(&args(line)).map_or_else(|e| e, |()| panic!("{line}: accepted"));
+            assert_eq!(err, expected, "{line}");
+        }
+        // More shards than VMs: every shard past the fleet is empty, and
+        // the run still completes.
+        let (opts, _) =
+            parse_common(&args("--vms 3 --cloudlets 10 --sched-params shards=50")).unwrap();
+        let runs = run_points(&opts, &[AlgorithmKind::AntColony]).unwrap();
+        assert_eq!(runs[0].0.finished, 10);
+        cmd_run(&args("--vms 3 --cloudlets 10 --sched-params shards=50")).unwrap();
     }
 
     #[test]

@@ -378,6 +378,47 @@ mod tests {
     }
 
     #[test]
+    fn default_tuning_builds_the_registry_schedulers() {
+        use crate::objective::Objective;
+        let problem = SchedulingProblem::single_datacenter(
+            (0..6)
+                .map(|i| VmSpec::new(500.0 + 650.0 * (i % 4) as f64, 5_000.0, 512.0, 500.0, 1))
+                .collect(),
+            (0..30)
+                .map(|i| CloudletSpec::new(1_100.0 + 850.0 * (i % 6) as f64, 300.0, 300.0, 1))
+                .collect(),
+            CostModel::default(),
+        );
+        let objective = Objective::Makespan;
+        let kinds = [
+            AlgorithmKind::BaseTest,
+            AlgorithmKind::AntColony,
+            AlgorithmKind::HoneyBee,
+            AlgorithmKind::Rbs,
+            AlgorithmKind::MinMin,
+            AlgorithmKind::MaxMin,
+            AlgorithmKind::Pso,
+            AlgorithmKind::Ga,
+            AlgorithmKind::Hybrid(objective),
+            AlgorithmKind::LeastConnection,
+            AlgorithmKind::WeightedRoundRobin,
+            AlgorithmKind::Sjf,
+            AlgorithmKind::BestFit,
+            AlgorithmKind::CuckooSos,
+            AlgorithmKind::Gsa,
+            AlgorithmKind::Portfolio(objective),
+            AlgorithmKind::Racing(objective),
+        ];
+        for kind in kinds {
+            let tuned = SchedTuning::default()
+                .build(kind, 7)
+                .unwrap()
+                .schedule(&problem);
+            assert_eq!(tuned, kind.build(7).schedule(&problem), "{kind}");
+        }
+    }
+
+    #[test]
     fn built_scheduler_honors_overrides() {
         let problem = SchedulingProblem::single_datacenter(
             vec![VmSpec::homogeneous_default(); 6],

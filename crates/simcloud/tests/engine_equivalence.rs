@@ -763,3 +763,122 @@ fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
         }
     }
 }
+
+/// Exact-tie rule of `Bound::Control`: a settle tick the queue has not
+/// popped yet, due exactly at a host-failure instant, fires *after* the
+/// failure (the failure event was queued first), so the cloudlet it
+/// would finish fails instead. Random continuous times never hit this
+/// tie; here the failure is placed on the unfaulted finish time.
+#[test]
+fn unpopped_tick_at_a_host_failure_instant_waits() {
+    let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 1);
+    let run = |engine: EngineKind, fail_at: Option<SimTime>| {
+        let mut blueprint =
+            DatacenterBlueprint::sized_for(&vm, 1, 1, DatacenterCharacteristics::default());
+        // FIFO on one PE: the second cloudlet queues behind the first and
+        // leaves its completion tick where it is.
+        blueprint.scheduler = SchedulerKind::SpaceShared;
+        let mut builder = SimulationBuilder::new()
+            .engine(engine)
+            .datacenter(blueprint)
+            .vms(vec![vm.clone()])
+            .cloudlets(vec![
+                CloudletSpec::new(4_000.0, 0.0, 0.0, 1),
+                CloudletSpec::new(1_000.0, 0.0, 0.0, 1),
+            ])
+            .assignment(vec![VmId(0), VmId(0)])
+            // The second submission is staged before the failure, so the
+            // failure's flush replays this lane with the tick still armed.
+            .arrivals(vec![SimTime::ZERO, SimTime::new(1_500.0)]);
+        if let Some(at) = fail_at {
+            let mut plan = FaultPlan::healthy();
+            plan.host_outages.push(HostOutage {
+                datacenter: DatacenterId(0),
+                host: HostId::from_index(0),
+                fail_at: at,
+                repair_at: None,
+            });
+            builder = builder.faults(plan);
+        }
+        builder.run().expect("valid scenario")
+    };
+    let clean = run(EngineKind::Sequential, None);
+    let tie = clean.records[0].finish.expect("first cloudlet finishes");
+    for threads in [1usize, 4] {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global()
+            .expect("vendored rayon accepts repeated global builds");
+        let seq = run(EngineKind::Sequential, Some(tie));
+        let shd = run(EngineKind::Sharded, Some(tie));
+        assert_eq!(
+            seq.records[0].status,
+            CloudletStatus::Failed,
+            "the failure, queued first, beats the tick at the same instant"
+        );
+        assert_identical(&seq, &shd, &format!("{threads} threads"));
+    }
+}
+
+/// `Driver::stage` must record a lane whose next event moves earlier.
+/// Only lane-local content can sit in a lane's future: here a same-VM
+/// child released with a long input transfer. A submission staged ahead
+/// of it must bound the release barrier (a cross parent is in flight on
+/// the same VM); without a fresh dirty-heap entry the lane drops out of
+/// every later flush.
+#[test]
+fn staging_ahead_of_a_local_release_reschedules_the_lane() {
+    let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 500.0, 1);
+    let run = |engine: EngineKind| {
+        let blueprint =
+            DatacenterBlueprint::sized_for(&vm, 2, 1, DatacenterCharacteristics::default());
+        SimulationBuilder::new()
+            .engine(engine)
+            .datacenter(blueprint)
+            .vms(vec![vm.clone(), vm.clone()])
+            .cloudlets(vec![
+                // 0: same-VM parent of 1, done at 2 s (shares the PE with 2).
+                CloudletSpec::new(1_000.0, 0.0, 0.0, 1),
+                // 1: released at 2 s, arrives 50 s later (3125 MB at 500 Mbps).
+                CloudletSpec::new(1_000.0, 3_125.0, 0.0, 1),
+                // 2: long cross parent of 3, in flight the whole time.
+                CloudletSpec::new(100_000.0, 0.0, 0.0, 1),
+                // 3: on the other VM, waits for 2.
+                CloudletSpec::new(1_000.0, 0.0, 0.0, 1),
+                // 4: arrives at 10 s, ahead of 1's local submission.
+                CloudletSpec::new(1_000.0, 0.0, 0.0, 1),
+            ])
+            .assignment(vec![VmId(0), VmId(0), VmId(0), VmId(1), VmId(0)])
+            .arrivals(vec![
+                SimTime::ZERO,
+                SimTime::ZERO,
+                SimTime::ZERO,
+                SimTime::ZERO,
+                SimTime::new(10_000.0),
+            ])
+            .dependencies(vec![
+                vec![],
+                vec![CloudletId(0)],
+                vec![],
+                vec![CloudletId(2)],
+                vec![],
+            ])
+            .run()
+            .expect("valid scenario")
+    };
+    for threads in [1usize, 4] {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global()
+            .expect("vendored rayon accepts repeated global builds");
+        let seq = run(EngineKind::Sequential);
+        let shd = run(EngineKind::Sharded);
+        assert_eq!(seq.finished_count(), 5);
+        let submit = |c: usize| seq.records[c].start.expect("started").as_millis();
+        assert!(
+            submit(4) < submit(1),
+            "the staged arrival must precede the local release"
+        );
+        assert_identical(&seq, &shd, &format!("{threads} threads"));
+    }
+}

@@ -12,10 +12,11 @@
 //!   infrastructure, schedulers and the simulator.
 //! * [`stream`] — the streaming broker: warm-state incremental
 //!   replanning per arrival wave with queueing/latency measurements.
-//! * [`sweep`] — rayon-parallel experiment execution collecting the
-//!   paper's four metrics per (scenario, algorithm) point.
-//! * [`resilience`] — fault-injection campaigns: seeded chaos timelines,
-//!   fault-aware rescheduling and resilience metrics with CIs.
+//! * [`sweep`] — experiment execution: one point body collecting the
+//!   paper's four metrics and the resilience counters per (scenario,
+//!   algorithm), and one rayon-parallel (point × rep × algorithm) grid.
+//! * [`resilience`] — fault injection: seeded chaos timelines and
+//!   fault-aware rescheduling.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,14 +36,13 @@ pub mod prelude {
     pub use crate::heterogeneous::{fig6_vm_points, HeterogeneousScenario};
     pub use crate::homogeneous::{fig4a_vm_points, fig4b_vm_points, HomogeneousScenario};
     pub use crate::online::{run_online, OnlineOutcome, WavePlan};
-    pub use crate::resilience::{
-        inject_faults, resilience_sweep, run_resilient_point, CacheRescheduler,
-        ResiliencePointResult, ResilienceSummary,
-    };
+    pub use crate::resilience::{inject_faults, CacheRescheduler};
     pub use crate::scenario::{DatacenterSetup, Scenario};
     pub use crate::stream::{
         run_stream, run_stream_with, ReplanMode, StreamConfig, StreamOutcome, WaveStat,
     };
-    pub use crate::sweep::{run_point, sweep, PointResult};
+    pub use crate::sweep::{
+        run_point_with, summarize_reps, sweep_grid, sweep_on, PointArtifacts, PointResult,
+    };
     pub use crate::workflow::Workflow;
 }

@@ -8,24 +8,22 @@
 //! broker's [`Rescheduler`] slot — retry batches are re-planned by the
 //! *same* algorithm that produced the initial assignment, over the fleet
 //! that is actually alive (and at its degraded speeds) — and
-//! [`resilience_sweep`] measures how each algorithm degrades as the host
-//! failure rate climbs.
+//! [`inject_faults`] arms a scenario with a seeded chaos timeline. The
+//! experiment point body ([`crate::sweep::run_point_with`]) installs the
+//! rescheduler on every armed scenario and reports the resilience
+//! metrics, so a [`crate::sweep::sweep_grid`] whose scenarios arm faults
+//! at rising host-failure rates measures how each algorithm degrades.
 
 use biosched_core::eval::EvalCache;
 use biosched_core::problem::SchedulingProblem;
-use biosched_core::scheduler::{AlgorithmKind, Scheduler};
-use rayon::prelude::*;
+use biosched_core::scheduler::Scheduler;
 use simcloud::broker::{RecoveryPolicy, Rescheduler};
-use simcloud::error::SimError;
 use simcloud::faults::{FaultPlan, FaultSpec};
 use simcloud::ids::{CloudletId, VmId};
 use simcloud::kernel::World;
-use simcloud::simulation::EngineKind;
-use simcloud::stats::{RecordMode, SimulationOutcome};
 use simcloud::time::SimTime;
 
 use crate::scenario::Scenario;
-use crate::sweep::{summarize, RepeatedMetric};
 
 /// Adapts a study [`Scheduler`] into the broker's [`Rescheduler`] slot.
 ///
@@ -118,171 +116,15 @@ pub fn inject_faults(
     scenario.recovery = Some(policy);
 }
 
-/// Resilience metrics for one (faulted scenario, algorithm) run.
-#[derive(Debug, Clone)]
-pub struct ResiliencePointResult {
-    /// Algorithm that planned (and re-planned) the work.
-    pub algorithm: AlgorithmKind,
-    /// Fraction of observed cloudlets that finished.
-    pub completion_ratio: f64,
-    /// Useful execution time over total (useful + wasted) execution time.
-    pub goodput: f64,
-    /// Broker resubmissions that actually went back out.
-    pub retries: u64,
-    /// Cloudlets abandoned after exhausting their retry budget.
-    pub abandoned: u64,
-    /// Execution time lost to failures, in ms.
-    pub wasted_work_ms: f64,
-    /// Mean failure→completion gap over recovered cloudlets, in ms
-    /// (0 when nothing needed recovering).
-    pub mttr_ms: f64,
-    /// Eq. 12 simulated makespan in ms.
-    pub simulation_time_ms: f64,
-    /// Cloudlets that finished.
-    pub finished: usize,
-}
-
-/// Runs one algorithm over a faulted scenario with fault-aware retries.
-///
-/// The algorithm plans the initial assignment, then the *same* scheduler
-/// instance re-plans every retry batch via [`CacheRescheduler`]. The
-/// scenario must carry a [`RecoveryPolicy`] (see [`inject_faults`]);
-/// an un-faulted scenario degenerates to a plain [`crate::sweep`] point
-/// with perfect resilience metrics. Both engines produce bit-identical
-/// results; [`EngineKind::Sharded`] replays the bulk of the timeline in
-/// parallel between fault instants.
-pub fn run_resilient_point(
-    scenario: &Scenario,
-    algorithm: AlgorithmKind,
-    seed: u64,
-    engine: EngineKind,
-) -> Result<ResiliencePointResult, SimError> {
-    let problem = scenario.problem();
-    let cache = EvalCache::new(&problem);
-    let mut scheduler = algorithm.build(seed);
-    let assignment = scheduler.schedule_with_cache(&problem, &cache);
-    assignment
-        .validate(&problem)
-        .unwrap_or_else(|e| panic!("{algorithm} produced an invalid assignment: {e}"));
-    let rescheduler = CacheRescheduler::new(scheduler, problem);
-    let outcome = scenario.simulate_resilient(
-        assignment,
-        engine,
-        RecordMode::Aggregate,
-        Box::new(rescheduler),
-    )?;
-    Ok(point_from_outcome(algorithm, &outcome))
-}
-
-fn point_from_outcome(
-    algorithm: AlgorithmKind,
-    outcome: &SimulationOutcome,
-) -> ResiliencePointResult {
-    ResiliencePointResult {
-        algorithm,
-        completion_ratio: outcome.completion_ratio().unwrap_or(1.0),
-        goodput: outcome.goodput().unwrap_or(1.0),
-        retries: outcome.resilience.retries,
-        abandoned: outcome.resilience.abandoned,
-        wasted_work_ms: outcome.resilience.wasted_work_ms,
-        mttr_ms: outcome.mean_time_to_recovery_ms().unwrap_or(0.0),
-        simulation_time_ms: outcome.simulation_time_ms().unwrap_or(0.0),
-        finished: outcome.finished_count(),
-    }
-}
-
-/// [`ResiliencePointResult`] aggregated over repeated seeds, with ~95%
-/// confidence intervals.
-#[derive(Debug, Clone)]
-pub struct ResilienceSummary {
-    /// Algorithm that produced the points.
-    pub algorithm: AlgorithmKind,
-    /// Repetitions aggregated.
-    pub reps: usize,
-    /// Completion ratio over reps.
-    pub completion_ratio: RepeatedMetric,
-    /// Goodput over reps.
-    pub goodput: RepeatedMetric,
-    /// Retry count over reps.
-    pub retries: RepeatedMetric,
-    /// Wasted work over reps, in ms.
-    pub wasted_work_ms: RepeatedMetric,
-    /// Mean time to recovery over reps, in ms.
-    pub mttr_ms: RepeatedMetric,
-    /// Makespan over reps, in ms.
-    pub simulation_time_ms: RepeatedMetric,
-}
-
-/// Sweeps algorithms over a grid of chaos intensities.
-///
-/// For each `fail_fractions[i]`, `make_scenario(seed)` builds the rep's
-/// workload, [`inject_faults`] arms it with `spec` at that host-failure
-/// fraction (fault seed = workload seed), and every algorithm runs
-/// [`run_resilient_point`]. Reps use seeds `base_seed..base_seed + reps`
-/// as one flat rayon work list; results come back `[fraction][algorithm]`
-/// with CIs over reps. Deterministic for fixed seeds at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn resilience_sweep<F>(
-    fail_fractions: &[f64],
-    algorithms: &[AlgorithmKind],
-    spec: &FaultSpec,
-    policy: RecoveryPolicy,
-    base_seed: u64,
-    reps: usize,
-    engine: EngineKind,
-    make_scenario: F,
-) -> Vec<Vec<ResilienceSummary>>
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    assert!(reps > 0, "need at least one repetition");
-    let a = algorithms.len();
-    let tasks: Vec<(usize, usize, usize)> = (0..fail_fractions.len())
-        .flat_map(|fi| (0..reps).flat_map(move |ri| (0..a).map(move |ai| (fi, ri, ai))))
-        .collect();
-    let flat: Vec<ResiliencePointResult> = tasks
-        .par_iter()
-        .map(|&(fi, ri, ai)| {
-            let seed = base_seed + ri as u64;
-            let mut scenario = make_scenario(seed);
-            let mut spec = spec.clone();
-            spec.host_fail_fraction = fail_fractions[fi];
-            inject_faults(&mut scenario, &spec, seed, policy);
-            run_resilient_point(&scenario, algorithms[ai], seed, engine)
-                .unwrap_or_else(|e| panic!("resilience point failed: {e}"))
-        })
-        .collect();
-    (0..fail_fractions.len())
-        .map(|fi| {
-            (0..a)
-                .map(|ai| {
-                    let per_rep: Vec<&ResiliencePointResult> = (0..reps)
-                        .map(|ri| &flat[fi * reps * a + ri * a + ai])
-                        .collect();
-                    let pick = |f: fn(&ResiliencePointResult) -> f64| -> RepeatedMetric {
-                        let values: Vec<f64> = per_rep.iter().map(|r| f(r)).collect();
-                        summarize(&values)
-                    };
-                    ResilienceSummary {
-                        algorithm: algorithms[ai],
-                        reps,
-                        completion_ratio: pick(|r| r.completion_ratio),
-                        goodput: pick(|r| r.goodput),
-                        retries: pick(|r| r.retries as f64),
-                        wasted_work_ms: pick(|r| r.wasted_work_ms),
-                        mttr_ms: pick(|r| r.mttr_ms),
-                        simulation_time_ms: pick(|r| r.simulation_time_ms),
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heterogeneous::HeterogeneousScenario;
+    use crate::sweep::{run_point_with, summarize_reps, sweep_grid, PointArtifacts, PointResult};
+    use biosched_core::scheduler::AlgorithmKind;
+    use biosched_core::tuning::SchedTuning;
+    use simcloud::simulation::EngineKind;
+    use simcloud::stats::RecordMode;
 
     /// A chaos campaign that repairs fast enough for a patient policy.
     fn gentle_spec(fail_fraction: f64) -> FaultSpec {
@@ -315,15 +157,33 @@ mod tests {
         .build()
     }
 
+    /// One fault-aware point on private artifacts.
+    fn resilient_point(
+        scenario: &Scenario,
+        algorithm: AlgorithmKind,
+        seed: u64,
+        engine: EngineKind,
+    ) -> PointResult {
+        let artifacts = PointArtifacts::build(scenario.clone());
+        run_point_with(
+            &artifacts,
+            algorithm,
+            &SchedTuning::default(),
+            seed,
+            engine,
+            RecordMode::Aggregate,
+        )
+        .expect("resilient point")
+        .0
+    }
+
     #[test]
     fn resilient_point_is_deterministic_and_engine_independent() {
         let mut s = scenario(3);
         inject_faults(&mut s, &gentle_spec(0.3), 7, patient_policy());
-        let a =
-            run_resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sequential).unwrap();
-        let b =
-            run_resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sequential).unwrap();
-        let c = run_resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sharded).unwrap();
+        let a = resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sequential);
+        let b = resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sequential);
+        let c = resilient_point(&s, AlgorithmKind::AntColony, 3, EngineKind::Sharded);
         for other in [&b, &c] {
             assert_eq!(
                 a.completion_ratio.to_bits(),
@@ -360,7 +220,7 @@ mod tests {
             }
             .build();
             inject_faults(&mut s, &gentle_spec(0.9), 11, patient_policy());
-            let r = run_resilient_point(&s, algorithm, 11, EngineKind::Sharded).unwrap();
+            let r = resilient_point(&s, algorithm, 11, EngineKind::Sharded);
             assert!(
                 r.completion_ratio >= 0.99,
                 "{algorithm} lost work under gentle chaos: {}",
@@ -376,16 +236,14 @@ mod tests {
     fn faulted_run_reports_resilience_costs() {
         let mut s = scenario(5);
         inject_faults(&mut s, &gentle_spec(0.6), 5, patient_policy());
-        let r =
-            run_resilient_point(&s, AlgorithmKind::BaseTest, 5, EngineKind::Sequential).unwrap();
+        let r = resilient_point(&s, AlgorithmKind::BaseTest, 5, EngineKind::Sequential);
         if r.retries > 0 {
             assert!(r.goodput <= 1.0);
             assert!(r.mttr_ms > 0.0 || r.wasted_work_ms >= 0.0);
         }
         // The same workload unfaulted is perfectly resilient.
         let clean = scenario(5);
-        let c = run_resilient_point(&clean, AlgorithmKind::BaseTest, 5, EngineKind::Sequential)
-            .unwrap();
+        let c = resilient_point(&clean, AlgorithmKind::BaseTest, 5, EngineKind::Sequential);
         assert_eq!(c.completion_ratio, 1.0);
         assert_eq!(c.goodput, 1.0);
         assert_eq!(c.retries, 0);
@@ -424,20 +282,45 @@ mod tests {
             full.completion_ratio().map(f64::to_bits),
             agg.completion_ratio().map(f64::to_bits)
         );
+        // The point body installs the same fault-aware replanner.
+        let (_, point) = run_point_with(
+            &PointArtifacts::build(s.clone()),
+            AlgorithmKind::Rbs,
+            &SchedTuning::default(),
+            9,
+            EngineKind::Sequential,
+            RecordMode::Aggregate,
+        )
+        .unwrap();
+        assert_eq!(point.resilience, agg.resilience);
+        assert_eq!(point.events_processed, agg.events_processed);
+        assert_eq!(
+            point.simulation_time_ms().map(f64::to_bits),
+            agg.simulation_time_ms().map(f64::to_bits)
+        );
     }
 
     #[test]
     fn sweep_degrades_gracefully_with_cis() {
-        let summaries = resilience_sweep(
-            &[0.0, 0.5],
+        let fractions = [0.0, 0.5];
+        let grid = sweep_grid(
+            &[0, 1],
             &[AlgorithmKind::BaseTest, AlgorithmKind::Rbs],
-            &gentle_spec(0.0),
-            patient_policy(),
+            &SchedTuning::default(),
             21,
             3,
             EngineKind::Sequential,
-            scenario,
-        );
+            |fi, seed| {
+                let mut s = scenario(seed);
+                inject_faults(&mut s, &gentle_spec(fractions[fi]), seed, patient_policy());
+                s
+            },
+        )
+        .unwrap();
+        let summaries: Vec<Vec<_>> = grid
+            .iter()
+            .map(|row| row.iter().map(|reps| summarize_reps(reps)).collect())
+            .collect();
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].len(), 2);
         for s in &summaries[0] {

@@ -1,20 +1,23 @@
-//! Experiment execution: run algorithms over scenario sweeps.
+//! Experiment execution: one point body and one grid.
 //!
 //! One *point* = (scenario, algorithm): the scheduler is timed (the
 //! paper's "scheduling time" metric), its assignment is simulated, and the
-//! paper's four metrics are collected.
+//! paper's four metrics are collected together with the resilience
+//! counters of a fault-armed scenario. [`run_point_with`] is the only
+//! point body; the CLI, the figure sweeps, the resilience campaign and
+//! the bench binaries all run through it.
 //!
-//! The executor is *flat*: a sweep expands to one `(point × algorithm)`
-//! (or `(point × algorithm × rep)`) rayon work list instead of nesting
-//! "parallel over points, serial over algorithms" — no point serializes
-//! its whole algorithm set behind one slow ACO run. Tasks at the same
-//! point share one read-only [`PointArtifacts`] (scenario + problem +
-//! [`EvalCache`]), built lazily by the first task to arrive and dropped by
-//! the last to finish, and every simulation runs under
-//! [`RecordMode::Aggregate`] so a point retains O(VMs) memory, not
-//! O(cloudlets). Metrics are bit-identical to the old nested executor:
-//! `EvalCache` construction is deterministic (shared = private) and the
-//! aggregate fold replays the record scan's operation order.
+//! The executor is *flat*: [`sweep_grid`] expands to one `(point × rep ×
+//! algorithm)` rayon work list instead of nesting "parallel over points,
+//! serial over algorithms" — no point serializes its whole algorithm set
+//! behind one slow ACO run. Tasks at the same `(point, rep)` share one
+//! read-only [`PointArtifacts`] (scenario + problem + [`EvalCache`]),
+//! built lazily by the first task to arrive and dropped by the last to
+//! finish, and every simulation runs under [`RecordMode::Aggregate`] so a
+//! point retains O(VMs) memory, not O(cloudlets). Metrics are
+//! bit-identical to running each point alone: `EvalCache` construction is
+//! deterministic (shared = private) and the aggregate fold replays the
+//! record scan's operation order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,13 +26,16 @@ use std::time::Instant;
 use biosched_core::eval::EvalCache;
 use biosched_core::problem::SchedulingProblem;
 use biosched_core::scheduler::AlgorithmKind;
+use biosched_core::tuning::SchedTuning;
 use rayon::prelude::*;
 use simcloud::simulation::{EngineFallback, EngineKind};
-use simcloud::stats::RecordMode;
+use simcloud::stats::{RecordMode, SimulationOutcome};
 
+use crate::resilience::CacheRescheduler;
 use crate::scenario::Scenario;
 
-/// All metrics the paper reports for one (scenario, algorithm) pair.
+/// All metrics the paper reports for one (scenario, algorithm) pair,
+/// plus the resilience counters of a fault-armed run.
 #[derive(Debug, Clone)]
 pub struct PointResult {
     /// Algorithm that produced this point.
@@ -58,6 +64,20 @@ pub struct PointResult {
     pub mean_execution_ms: f64,
     /// Cloudlets that finished (sanity: should equal `cloudlet_count`).
     pub finished: usize,
+    /// Fraction of observed cloudlets that finished (1 on an empty run).
+    pub completion_ratio: f64,
+    /// Useful execution time over useful plus wasted execution time
+    /// (1 when nothing executed).
+    pub goodput: f64,
+    /// Broker resubmissions that actually went back out.
+    pub retries: u64,
+    /// Cloudlets abandoned after exhausting their retry budget.
+    pub abandoned: u64,
+    /// Execution time lost to failures, in ms.
+    pub wasted_work_ms: f64,
+    /// Mean failure→completion gap over recovered cloudlets, in ms
+    /// (0 when nothing needed recovering).
+    pub mttr_ms: f64,
     /// Engine the caller asked this point to simulate on.
     pub engine_requested: EngineKind,
     /// Engine the simulation actually ran on. Always equals
@@ -137,65 +157,69 @@ impl ArtifactCell {
     }
 }
 
-/// Runs one algorithm over one scenario and collects every metric.
+/// Runs one algorithm over prebuilt shared [`PointArtifacts`] and
+/// collects every metric, returning the outcome alongside for callers
+/// that read more than the [`PointResult`] (the CLI's p99 turnaround and
+/// energy columns read [`RecordMode::Full`] records).
 ///
-/// Panics if the simulation itself fails — scenario generators are
-/// responsible for producing feasible infrastructure.
-pub fn run_point(scenario: &Scenario, algorithm: AlgorithmKind, seed: u64) -> PointResult {
-    run_point_on(scenario, algorithm, seed, EngineKind::Sequential)
-}
-
-/// [`run_point`] on a chosen simulation engine. Metrics are identical
-/// across engines (the sharded kernel is trace-equivalent); only
-/// wall-clock differs. Builds private [`PointArtifacts`] for the call.
-pub fn run_point_on(
-    scenario: &Scenario,
-    algorithm: AlgorithmKind,
-    seed: u64,
-    engine: EngineKind,
-) -> PointResult {
-    let artifacts = PointArtifacts::build(scenario.clone());
-    run_point_with(&artifacts, algorithm, seed, engine, RecordMode::Aggregate)
-}
-
-/// Runs one algorithm over prebuilt shared [`PointArtifacts`].
-///
-/// Only the `schedule_with_cache` call is timed as scheduling time; the
-/// (shared) cache build is carried in `PointResult::cache_build_ms`.
+/// The scheduler is built by `tuning` (the default tuning builds exactly
+/// what [`AlgorithmKind::build`] builds). Only the `schedule_with_cache`
+/// call is timed as scheduling time; the (shared) cache build is carried
+/// in `PointResult::cache_build_ms`. A scenario armed with a recovery
+/// policy (see [`crate::resilience::inject_faults`]) simulates through
+/// [`Scenario::simulate_resilient`], with the *same* scheduler instance
+/// re-planning every retry batch via [`CacheRescheduler`]. Errors name the
+/// algorithm: a tuning that does not apply to it, an invalid assignment,
+/// or a failed simulation.
 pub fn run_point_with(
     artifacts: &PointArtifacts,
     algorithm: AlgorithmKind,
+    tuning: &SchedTuning,
     seed: u64,
     engine: EngineKind,
     mode: RecordMode,
-) -> PointResult {
-    let problem = &artifacts.problem;
-    let mut scheduler = algorithm.build(seed);
+) -> Result<(PointResult, SimulationOutcome), String> {
+    let PointArtifacts {
+        scenario,
+        problem,
+        cache,
+        cache_build_ms,
+    } = artifacts;
+    let mut scheduler = tuning.build(algorithm, seed)?;
 
     let started = Instant::now();
-    let assignment = scheduler.schedule_with_cache(problem, &artifacts.cache);
+    let assignment = scheduler.schedule_with_cache(problem, cache);
     let scheduling_time_ms = started.elapsed().as_secs_f64() * 1_000.0;
     let meta = scheduler.last_meta();
 
     assignment
         .validate(problem)
-        .unwrap_or_else(|e| panic!("{algorithm} produced an invalid assignment: {e}"));
-    let outcome = artifacts
-        .scenario
-        .simulate_mode(assignment, engine, mode)
-        .unwrap_or_else(|e| panic!("simulation failed for {algorithm}: {e}"));
+        .map_err(|e| format!("{algorithm} produced an invalid assignment: {e}"))?;
+    let outcome = if scenario.recovery.is_some() {
+        let rescheduler = CacheRescheduler::new(scheduler, problem.clone());
+        scenario.simulate_resilient(assignment, engine, mode, Box::new(rescheduler))
+    } else {
+        scenario.simulate_mode(assignment, engine, mode)
+    }
+    .map_err(|e| format!("simulation failed for {algorithm}: {e}"))?;
 
-    PointResult {
+    let result = PointResult {
         algorithm,
-        vm_count: artifacts.scenario.vm_count(),
-        cloudlet_count: artifacts.scenario.cloudlet_count(),
+        vm_count: scenario.vm_count(),
+        cloudlet_count: scenario.cloudlet_count(),
         scheduling_time_ms,
-        cache_build_ms: artifacts.cache_build_ms,
+        cache_build_ms: *cache_build_ms,
         simulation_time_ms: outcome.simulation_time_ms().unwrap_or(0.0),
         imbalance: outcome.time_imbalance().unwrap_or(0.0),
         total_cost: outcome.total_cost(),
         mean_execution_ms: outcome.mean_execution_ms().unwrap_or(0.0),
         finished: outcome.finished_count(),
+        completion_ratio: outcome.completion_ratio().unwrap_or(1.0),
+        goodput: outcome.goodput().unwrap_or(1.0),
+        retries: outcome.resilience.retries,
+        abandoned: outcome.resilience.abandoned,
+        wasted_work_ms: outcome.resilience.wasted_work_ms,
+        mttr_ms: outcome.mean_time_to_recovery_ms().unwrap_or(0.0),
         engine_requested: engine,
         engine_ran: outcome.engine,
         engine_fallback_reason: outcome.fallback.as_ref().map(|f: &EngineFallback| f.reason),
@@ -207,34 +231,86 @@ pub fn run_point_with(
                 .collect::<Vec<_>>()
                 .join(";")
         }),
+    };
+    Ok((result, outcome))
+}
+
+/// Runs `algorithms` over a `(point × rep)` grid of scenarios as one flat
+/// `(point × rep × algorithm)` parallel work list, every point simulated
+/// on `engine` in [`RecordMode::Aggregate`].
+///
+/// `make_scenario(x, seed)` builds the scenario for x-axis value `x` and
+/// workload seed `seed`; seeds are `base_seed..base_seed + reps` and also
+/// seed the schedulers. Every `(point, rep)` pair shares one lazily built
+/// [`PointArtifacts`] across all algorithms (the workload varies per rep,
+/// so reps cannot share), and tasks are ordered point-, then rep-major so
+/// sharing tasks sit adjacent in the work list. Results come back as
+/// `[point][algorithm][rep]`, ordered like `points`, `algorithms` and the
+/// seeds; [`summarize_reps`] folds one `[rep]` list. A tuning that does
+/// not apply to one of `algorithms` fails before any point runs; a
+/// failed point fails the grid with the first error in task order.
+pub fn sweep_grid<F>(
+    points: &[usize],
+    algorithms: &[AlgorithmKind],
+    tuning: &SchedTuning,
+    base_seed: u64,
+    reps: usize,
+    engine: EngineKind,
+    make_scenario: F,
+) -> Result<Vec<Vec<Vec<PointResult>>>, String>
+where
+    F: Fn(usize, u64) -> Scenario + Sync,
+{
+    assert!(reps > 0, "need at least one repetition");
+    for &algorithm in algorithms {
+        tuning.build(algorithm, base_seed)?;
     }
+    let a = algorithms.len();
+    let cells: Vec<ArtifactCell> = (0..points.len() * reps)
+        .map(|_| ArtifactCell::new(a))
+        .collect();
+    // (point, rep, algorithm) lexicographic: all users of one artifact
+    // cell are contiguous, so a work-chunk tends to build, use and free a
+    // cell without another thread ever waiting on its lock.
+    let tasks: Vec<(usize, usize, usize)> = (0..points.len())
+        .flat_map(|pi| (0..reps).flat_map(move |ri| (0..a).map(move |ai| (pi, ri, ai))))
+        .collect();
+    let flat: Vec<PointResult> = tasks
+        .par_iter()
+        .map(|&(pi, ri, ai)| {
+            let seed = base_seed + ri as u64;
+            let cell = &cells[pi * reps + ri];
+            let artifacts = cell.acquire(|| make_scenario(points[pi], seed));
+            let result = run_point_with(
+                &artifacts,
+                algorithms[ai],
+                tuning,
+                seed,
+                engine,
+                RecordMode::Aggregate,
+            );
+            cell.release();
+            result.map(|(point, _)| point)
+        })
+        .collect::<Result<_, _>>()?;
+    // Tasks visit each (point, algorithm) in rep order, so pushing in task
+    // order regroups to [point][algorithm][rep].
+    let mut grid: Vec<Vec<Vec<PointResult>>> = points
+        .iter()
+        .map(|_| (0..a).map(|_| Vec::with_capacity(reps)).collect())
+        .collect();
+    for (&(pi, _, ai), result) in tasks.iter().zip(flat) {
+        grid[pi][ai].push(result);
+    }
+    Ok(grid)
 }
 
 /// Runs `algorithms` over every scenario produced by `make_scenario` for
-/// the given x-axis `points`, as one flat parallel work list.
+/// the given x-axis `points`: the one-rep, default-tuning [`sweep_grid`].
 ///
 /// Returns one `Vec<PointResult>` per point, ordered like `points`, each
-/// ordered like `algorithms`.
-pub fn sweep<F>(
-    points: &[usize],
-    algorithms: &[AlgorithmKind],
-    seed: u64,
-    make_scenario: F,
-) -> Vec<Vec<PointResult>>
-where
-    F: Fn(usize) -> Scenario + Sync,
-{
-    sweep_on(
-        points,
-        algorithms,
-        seed,
-        EngineKind::Sequential,
-        make_scenario,
-    )
-}
-
-/// [`sweep`] with every point simulated on a chosen engine, in
-/// [`RecordMode::Aggregate`] (metric-identical to full records).
+/// ordered like `algorithms`. Panics if a point fails — scenario
+/// generators are responsible for producing feasible infrastructure.
 pub fn sweep_on<F>(
     points: &[usize],
     algorithms: &[AlgorithmKind],
@@ -245,53 +321,19 @@ pub fn sweep_on<F>(
 where
     F: Fn(usize) -> Scenario + Sync,
 {
-    sweep_mode_on(
+    sweep_grid(
         points,
         algorithms,
+        &SchedTuning::default(),
         seed,
+        1,
         engine,
-        RecordMode::Aggregate,
-        make_scenario,
+        |x, _| make_scenario(x),
     )
-}
-
-/// [`sweep_on`] with an explicit [`RecordMode`] — the benches use this to
-/// measure Full-vs-Aggregate memory; experiment callers want the
-/// [`sweep_on`] default.
-pub fn sweep_mode_on<F>(
-    points: &[usize],
-    algorithms: &[AlgorithmKind],
-    seed: u64,
-    engine: EngineKind,
-    mode: RecordMode,
-    make_scenario: F,
-) -> Vec<Vec<PointResult>>
-where
-    F: Fn(usize) -> Scenario + Sync,
-{
-    if algorithms.is_empty() {
-        return points.iter().map(|_| Vec::new()).collect();
-    }
-    let cells: Vec<ArtifactCell> = points
-        .iter()
-        .map(|_| ArtifactCell::new(algorithms.len()))
-        .collect();
-    // Flat (point × algorithm) task list, point-major so the regrouping
-    // below is a plain chunking of the order-preserving parallel collect.
-    let tasks: Vec<(usize, usize)> = (0..points.len())
-        .flat_map(|pi| (0..algorithms.len()).map(move |ai| (pi, ai)))
-        .collect();
-    let flat: Vec<PointResult> = tasks
-        .par_iter()
-        .map(|&(pi, ai)| {
-            let cell = &cells[pi];
-            let artifacts = cell.acquire(|| make_scenario(points[pi]));
-            let result = run_point_with(&artifacts, algorithms[ai], seed, engine, mode);
-            cell.release();
-            result
-        })
-        .collect();
-    flat.chunks(algorithms.len()).map(<[_]>::to_vec).collect()
+    .unwrap_or_else(|e| panic!("{e}"))
+    .into_iter()
+    .map(|row| row.into_iter().flatten().collect())
+    .collect()
 }
 
 /// Mean and spread of one metric over repeated seeded runs.
@@ -320,6 +362,16 @@ pub struct RepeatedPointResult {
     pub imbalance: RepeatedMetric,
     /// Total processing cost.
     pub total_cost: RepeatedMetric,
+    /// Completion ratio.
+    pub completion_ratio: RepeatedMetric,
+    /// Goodput.
+    pub goodput: RepeatedMetric,
+    /// Retry count.
+    pub retries: RepeatedMetric,
+    /// Wasted work, in ms.
+    pub wasted_work_ms: RepeatedMetric,
+    /// Mean time to recovery, in ms.
+    pub mttr_ms: RepeatedMetric,
     /// Engine requested for every repetition (reps never mix engines).
     pub engine_requested: EngineKind,
     /// Engine every repetition actually ran on.
@@ -347,7 +399,7 @@ fn t95(df: usize) -> f64 {
     T95.get(df - 1).copied().unwrap_or(1.96)
 }
 
-pub(crate) fn summarize(values: &[f64]) -> RepeatedMetric {
+fn summarize(values: &[f64]) -> RepeatedMetric {
     let n = values.len().max(1) as f64;
     let mean = values.iter().sum::<f64>() / n;
     let var = if values.len() > 1 {
@@ -365,145 +417,35 @@ pub(crate) fn summarize(values: &[f64]) -> RepeatedMetric {
     }
 }
 
-/// Folds raw per-rep results into a [`RepeatedPointResult`].
-fn aggregate_reps(algorithm: AlgorithmKind, results: &[PointResult]) -> RepeatedPointResult {
+/// Folds one `(point, algorithm)`'s per-rep results (one `[rep]` list of
+/// [`sweep_grid`]) into a [`RepeatedPointResult`] with Student-t CIs.
+pub fn summarize_reps(results: &[PointResult]) -> RepeatedPointResult {
+    let first = results.first().expect("need at least one repetition");
     let pick = |f: fn(&PointResult) -> f64| -> RepeatedMetric {
         let values: Vec<f64> = results.iter().map(f).collect();
         summarize(&values)
     };
     debug_assert!(
-        results
-            .iter()
-            .all(|r| r.engine_ran == results[0].engine_ran),
+        results.iter().all(|r| r.engine_ran == first.engine_ran),
         "repetitions of one point must not mix engines"
     );
     RepeatedPointResult {
-        algorithm,
-        vm_count: results[0].vm_count,
+        algorithm: first.algorithm,
+        vm_count: first.vm_count,
         reps: results.len(),
         simulation_time_ms: pick(|r| r.simulation_time_ms),
         scheduling_time_ms: pick(|r| r.scheduling_time_ms),
         imbalance: pick(|r| r.imbalance),
         total_cost: pick(|r| r.total_cost),
-        engine_requested: results[0].engine_requested,
-        engine_ran: results[0].engine_ran,
-        engine_fallback_reason: results[0].engine_fallback_reason,
+        completion_ratio: pick(|r| r.completion_ratio),
+        goodput: pick(|r| r.goodput),
+        retries: pick(|r| r.retries as f64),
+        wasted_work_ms: pick(|r| r.wasted_work_ms),
+        mttr_ms: pick(|r| r.mttr_ms),
+        engine_requested: first.engine_requested,
+        engine_ran: first.engine_ran,
+        engine_fallback_reason: first.engine_fallback_reason,
     }
-}
-
-/// Runs one algorithm over `reps` seeded variants of a scenario and
-/// aggregates every metric. `make_scenario(seed)` builds the variant;
-/// seeds are `base_seed..base_seed + reps`, also used for the scheduler.
-pub fn run_point_repeated<F>(
-    algorithm: AlgorithmKind,
-    base_seed: u64,
-    reps: usize,
-    make_scenario: F,
-) -> RepeatedPointResult
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    run_point_repeated_on(
-        algorithm,
-        base_seed,
-        reps,
-        EngineKind::Sequential,
-        make_scenario,
-    )
-}
-
-/// [`run_point_repeated`] with every repetition simulated on a chosen
-/// engine. Metrics are identical across engines (the sharded kernel is
-/// trace-equivalent); only wall-clock differs.
-pub fn run_point_repeated_on<F>(
-    algorithm: AlgorithmKind,
-    base_seed: u64,
-    reps: usize,
-    engine: EngineKind,
-    make_scenario: F,
-) -> RepeatedPointResult
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    assert!(reps > 0, "need at least one repetition");
-    let results: Vec<PointResult> = (0..reps as u64)
-        .into_par_iter()
-        .map(|r| {
-            let seed = base_seed + r;
-            run_point_on(&make_scenario(seed), algorithm, seed, engine)
-        })
-        .collect();
-    aggregate_reps(algorithm, &results)
-}
-
-/// Repeated sweep over a full grid, as one flat `(point × rep ×
-/// algorithm)` parallel work list.
-///
-/// `make_scenario(x, seed)` builds the scenario for x-axis value `x` and
-/// workload seed `seed`; seeds are `base_seed..base_seed + reps` and also
-/// seed the schedulers, like [`run_point_repeated_on`]. Every `(point,
-/// rep)` pair shares one lazily built [`PointArtifacts`] across all
-/// algorithms (the workload varies per rep, so reps cannot share), and
-/// tasks are ordered rep-major so sharing tasks sit adjacent in the work
-/// list. Results come back as one `Vec<RepeatedPointResult>` per point,
-/// ordered like `points`, each ordered like `algorithms` — exactly what
-/// the old nested "serial points × serial algorithms × parallel reps"
-/// loop produced, without a slow algorithm serializing its whole point.
-pub fn sweep_repeated_on<F>(
-    points: &[usize],
-    algorithms: &[AlgorithmKind],
-    base_seed: u64,
-    reps: usize,
-    engine: EngineKind,
-    make_scenario: F,
-) -> Vec<Vec<RepeatedPointResult>>
-where
-    F: Fn(usize, u64) -> Scenario + Sync,
-{
-    assert!(reps > 0, "need at least one repetition");
-    if algorithms.is_empty() {
-        return points.iter().map(|_| Vec::new()).collect();
-    }
-    let a = algorithms.len();
-    let cells: Vec<ArtifactCell> = (0..points.len() * reps)
-        .map(|_| ArtifactCell::new(a))
-        .collect();
-    // (point, rep, algorithm) lexicographic: all users of one artifact
-    // cell are contiguous, so a work-chunk tends to build, use and free a
-    // cell without another thread ever waiting on its lock.
-    let tasks: Vec<(usize, usize, usize)> = (0..points.len())
-        .flat_map(|pi| (0..reps).flat_map(move |ri| (0..a).map(move |ai| (pi, ri, ai))))
-        .collect();
-    let flat: Vec<PointResult> = tasks
-        .par_iter()
-        .map(|&(pi, ri, ai)| {
-            let seed = base_seed + ri as u64;
-            let cell = &cells[pi * reps + ri];
-            let artifacts = cell.acquire(|| make_scenario(points[pi], seed));
-            let result = run_point_with(
-                &artifacts,
-                algorithms[ai],
-                seed,
-                engine,
-                RecordMode::Aggregate,
-            );
-            cell.release();
-            result
-        })
-        .collect();
-    // flat[pi*reps*a + ri*a + ai] → regroup to [point][algorithm] over reps.
-    (0..points.len())
-        .map(|pi| {
-            (0..a)
-                .map(|ai| {
-                    let per_rep: Vec<PointResult> = (0..reps)
-                        .map(|ri| flat[pi * reps * a + ri * a + ai].clone())
-                        .collect();
-                    aggregate_reps(algorithms[ai], &per_rep)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -512,6 +454,58 @@ mod tests {
     use crate::heterogeneous::HeterogeneousScenario;
     use crate::homogeneous::HomogeneousScenario;
 
+    /// One point on private artifacts, the way the CLI runs it.
+    fn run_alone(
+        scenario: &Scenario,
+        algorithm: AlgorithmKind,
+        seed: u64,
+        engine: EngineKind,
+    ) -> PointResult {
+        let artifacts = PointArtifacts::build(scenario.clone());
+        run_point_with(
+            &artifacts,
+            algorithm,
+            &SchedTuning::default(),
+            seed,
+            engine,
+            RecordMode::Aggregate,
+        )
+        .expect("feasible point")
+        .0
+    }
+
+    fn hetero(vms: usize, cloudlets: usize, seed: u64) -> Scenario {
+        HeterogeneousScenario {
+            vm_count: vms,
+            cloudlet_count: cloudlets,
+            datacenter_count: 2,
+            seed,
+        }
+        .build()
+    }
+
+    /// `reps` seeded variants of one heterogeneous point, summarized.
+    fn repeated(
+        algorithm: AlgorithmKind,
+        base_seed: u64,
+        reps: usize,
+        engine: EngineKind,
+        vms: usize,
+        cloudlets: usize,
+    ) -> RepeatedPointResult {
+        let grid = sweep_grid(
+            &[vms],
+            &[algorithm],
+            &SchedTuning::default(),
+            base_seed,
+            reps,
+            engine,
+            |vms, seed| hetero(vms, cloudlets, seed),
+        )
+        .unwrap();
+        summarize_reps(&grid[0][0])
+    }
+
     #[test]
     fn run_point_collects_all_metrics() {
         let scenario = HomogeneousScenario {
@@ -519,7 +513,12 @@ mod tests {
             cloudlet_count: 20,
         }
         .build();
-        let r = run_point(&scenario, AlgorithmKind::BaseTest, 0);
+        let r = run_alone(
+            &scenario,
+            AlgorithmKind::BaseTest,
+            0,
+            EngineKind::Sequential,
+        );
         assert_eq!(r.finished, 20);
         assert_eq!(r.vm_count, 4);
         assert!(r.simulation_time_ms > 0.0);
@@ -528,14 +527,21 @@ mod tests {
         // Homogeneous + free DC: zero cost, near-zero imbalance.
         assert_eq!(r.total_cost, 0.0);
         assert!(r.imbalance < 1e-9);
+        // No faults: perfectly resilient.
+        assert_eq!(r.completion_ratio, 1.0);
+        assert_eq!(r.goodput, 1.0);
+        assert_eq!((r.retries, r.abandoned), (0, 0));
+        assert_eq!(r.wasted_work_ms, 0.0);
+        assert_eq!(r.mttr_ms, 0.0);
     }
 
     #[test]
     fn sweep_orders_points_and_algorithms() {
-        let results = sweep(
+        let results = sweep_on(
             &[2, 4],
             &[AlgorithmKind::BaseTest, AlgorithmKind::Rbs],
             1,
+            EngineKind::Sequential,
             |vms| {
                 HomogeneousScenario {
                     vm_count: vms,
@@ -554,15 +560,7 @@ mod tests {
 
     #[test]
     fn repeated_points_aggregate_with_spread() {
-        let r = run_point_repeated(AlgorithmKind::Rbs, 100, 4, |seed| {
-            HeterogeneousScenario {
-                vm_count: 6,
-                cloudlet_count: 30,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        });
+        let r = repeated(AlgorithmKind::Rbs, 100, 4, EngineKind::Sequential, 6, 30);
         assert_eq!(r.reps, 4);
         assert!(r.simulation_time_ms.mean > 0.0);
         // Different seeds -> different workloads -> nonzero spread.
@@ -572,32 +570,14 @@ mod tests {
 
     #[test]
     fn single_rep_has_zero_ci() {
-        let r = run_point_repeated(AlgorithmKind::BaseTest, 7, 1, |seed| {
-            HeterogeneousScenario {
-                vm_count: 4,
-                cloudlet_count: 10,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        });
+        let r = repeated(AlgorithmKind::BaseTest, 7, 1, EngineKind::Sequential, 4, 10);
         assert_eq!(r.simulation_time_ms.ci95, 0.0);
     }
 
     #[test]
     fn repeated_metrics_match_across_engines() {
-        let make = |seed| {
-            HeterogeneousScenario {
-                vm_count: 6,
-                cloudlet_count: 30,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        };
-        let seq =
-            run_point_repeated_on(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sequential, make);
-        let sh = run_point_repeated_on(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sharded, make);
+        let seq = repeated(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sequential, 6, 30);
+        let sh = repeated(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sharded, 6, 30);
         // The sharded kernel is trace-equivalent: every simulated metric
         // aggregates to the same bits; only wall-clock may differ.
         assert_eq!(
@@ -611,16 +591,10 @@ mod tests {
     #[test]
     fn meta_provenance_flows_into_points_and_matches_across_engines() {
         use biosched_core::objective::Objective;
-        let scenario = HeterogeneousScenario {
-            vm_count: 6,
-            cloudlet_count: 30,
-            datacenter_count: 2,
-            seed: 17,
-        }
-        .build();
+        let scenario = hetero(6, 30, 17);
         let kind = AlgorithmKind::Racing(Objective::Makespan);
-        let seq = run_point_on(&scenario, kind, 17, EngineKind::Sequential);
-        let sh = run_point_on(&scenario, kind, 17, EngineKind::Sharded);
+        let seq = run_alone(&scenario, kind, 17, EngineKind::Sequential);
+        let sh = run_alone(&scenario, kind, 17, EngineKind::Sharded);
         // The race budget is counted in evaluation units, so the winner,
         // the per-member spend, and every simulated metric are
         // bit-identical across engines.
@@ -636,10 +610,20 @@ mod tests {
         assert!(spent.contains(&format!("{winner}:")), "{spent}");
         assert_eq!(spent.matches(';').count(), 5, "six roster members");
 
-        let portfolio = run_point(&scenario, AlgorithmKind::Portfolio(Objective::Makespan), 17);
+        let portfolio = run_alone(
+            &scenario,
+            AlgorithmKind::Portfolio(Objective::Makespan),
+            17,
+            EngineKind::Sequential,
+        );
         assert!(portfolio.meta_winner.is_some());
         // Plain schedulers leave the provenance columns empty.
-        let plain = run_point(&scenario, AlgorithmKind::HoneyBee, 17);
+        let plain = run_alone(
+            &scenario,
+            AlgorithmKind::HoneyBee,
+            17,
+            EngineKind::Sequential,
+        );
         assert_eq!(plain.meta_winner, None);
         assert_eq!(plain.meta_spent, None);
     }
@@ -670,26 +654,32 @@ mod tests {
 
     #[test]
     fn flat_repeated_sweep_matches_per_point_aggregation() {
-        let make = |vms: usize, seed: u64| {
-            HeterogeneousScenario {
-                vm_count: vms,
-                cloudlet_count: 24,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        };
         let algorithms = [AlgorithmKind::BaseTest, AlgorithmKind::HoneyBee];
         let points = [4usize, 6];
-        let flat = sweep_repeated_on(&points, &algorithms, 11, 3, EngineKind::Sequential, make);
+        let (base_seed, reps) = (11u64, 3usize);
+        let flat = sweep_grid(
+            &points,
+            &algorithms,
+            &SchedTuning::default(),
+            base_seed,
+            reps,
+            EngineKind::Sequential,
+            |vms, seed| hetero(vms, 24, seed),
+        )
+        .unwrap();
         assert_eq!(flat.len(), 2);
         for (pi, &vms) in points.iter().enumerate() {
             assert_eq!(flat[pi].len(), 2);
             for (ai, &alg) in algorithms.iter().enumerate() {
-                let nested = run_point_repeated_on(alg, 11, 3, EngineKind::Sequential, |seed| {
-                    make(vms, seed)
-                });
-                let got = &flat[pi][ai];
+                // Reference: a serial loop over private artifacts per rep.
+                let nested: Vec<PointResult> = (0..reps as u64)
+                    .map(|r| {
+                        let seed = base_seed + r;
+                        run_alone(&hetero(vms, 24, seed), alg, seed, EngineKind::Sequential)
+                    })
+                    .collect();
+                let nested = summarize_reps(&nested);
+                let got = summarize_reps(&flat[pi][ai]);
                 assert_eq!(got.algorithm, alg);
                 assert_eq!(got.vm_count, vms);
                 assert_eq!(got.reps, 3);
@@ -717,10 +707,11 @@ mod tests {
 
     #[test]
     fn shared_artifacts_report_cache_build_time() {
-        let results = sweep(
+        let results = sweep_on(
             &[4],
             &[AlgorithmKind::BaseTest, AlgorithmKind::HoneyBee],
             1,
+            EngineKind::Sequential,
             |vms| {
                 HomogeneousScenario {
                     vm_count: vms,
@@ -739,6 +730,21 @@ mod tests {
     }
 
     #[test]
+    fn grid_rejects_a_misapplied_tuning_before_running_points() {
+        let err = sweep_grid(
+            &[8],
+            &[AlgorithmKind::BaseTest],
+            &SchedTuning::parse("ants=1").unwrap(),
+            3,
+            1,
+            EngineKind::Sequential,
+            |_, _| unreachable!("a misapplied tuning fails before any point runs"),
+        )
+        .unwrap_err();
+        assert!(err.contains("only apply to AntColony"), "{err}");
+    }
+
+    #[test]
     fn point_results_record_engine_provenance() {
         let scenario = HomogeneousScenario {
             vm_count: 4,
@@ -746,21 +752,12 @@ mod tests {
         }
         .build();
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
-            let r = run_point_on(&scenario, AlgorithmKind::BaseTest, 0, engine);
+            let r = run_alone(&scenario, AlgorithmKind::BaseTest, 0, engine);
             assert_eq!(r.engine_requested, engine);
             assert_eq!(r.engine_ran, engine, "no scenario falls back anymore");
             assert_eq!(r.engine_fallback_reason, None);
         }
-        let rep =
-            run_point_repeated_on(AlgorithmKind::BaseTest, 3, 2, EngineKind::Sharded, |seed| {
-                HeterogeneousScenario {
-                    vm_count: 4,
-                    cloudlet_count: 10,
-                    datacenter_count: 2,
-                    seed,
-                }
-                .build()
-            });
+        let rep = repeated(AlgorithmKind::BaseTest, 3, 2, EngineKind::Sharded, 4, 10);
         assert_eq!(rep.engine_requested, EngineKind::Sharded);
         assert_eq!(rep.engine_ran, EngineKind::Sharded);
         assert_eq!(rep.engine_fallback_reason, None);
@@ -775,7 +772,12 @@ mod tests {
             seed: 3,
         }
         .build();
-        let r = run_point(&scenario, AlgorithmKind::HoneyBee, 3);
+        let r = run_alone(
+            &scenario,
+            AlgorithmKind::HoneyBee,
+            3,
+            EngineKind::Sequential,
+        );
         assert_eq!(r.finished, 40);
         assert!(r.total_cost > 0.0);
         assert!(r.imbalance > 0.0, "heterogeneous exec times must spread");

@@ -7,10 +7,11 @@
 //! point by itself.
 
 use biosched_core::scheduler::AlgorithmKind;
+use biosched_core::tuning::SchedTuning;
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::homogeneous::HomogeneousScenario;
 use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::{run_point_on, run_point_with, sweep_on, PointArtifacts};
+use biosched_workload::sweep::{run_point_with, sweep_on, PointArtifacts, PointResult};
 use simcloud::prelude::{EngineKind, RecordMode};
 
 const SEEDS: [u64; 3] = [3, 41, 977];
@@ -40,6 +41,27 @@ fn scenarios(seed: u64) -> Vec<(&'static str, Scenario)> {
 
 fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
+}
+
+/// The point body over prebuilt artifacts, default tuning, sequential
+/// engine, aggregate records.
+fn point(artifacts: &PointArtifacts, alg: AlgorithmKind, seed: u64) -> PointResult {
+    run_point_with(
+        artifacts,
+        alg,
+        &SchedTuning::default(),
+        seed,
+        EngineKind::Sequential,
+        RecordMode::Aggregate,
+    )
+    .expect("feasible point")
+    .0
+}
+
+/// The reference the shared paths are checked against: private
+/// artifacts built for this one run.
+fn standalone(scenario: &Scenario, alg: AlgorithmKind, seed: u64) -> PointResult {
+    point(&PointArtifacts::build(scenario.clone()), alg, seed)
 }
 
 /// Aggregate-mode outcomes must carry the very same bits as full-record
@@ -93,36 +115,30 @@ fn aggregate_mode_matches_full_records_bitwise() {
     }
 }
 
-/// A point run through the shared-artifact entry point must match the
-/// standalone per-point runner on every reported metric.
+/// Algorithms sharing one point's artifacts must match runs on private
+/// artifacts on every reported metric.
 #[test]
 fn shared_artifacts_match_standalone_point_runs() {
     for seed in SEEDS {
         for (label, scenario) in scenarios(seed) {
             let artifacts = PointArtifacts::build(scenario.clone());
             for alg in AlgorithmKind::PAPER_SET {
-                let standalone = run_point_on(&scenario, alg, seed, EngineKind::Sequential);
-                let shared = run_point_with(
-                    &artifacts,
-                    alg,
-                    seed,
-                    EngineKind::Sequential,
-                    RecordMode::Aggregate,
-                );
+                let alone = standalone(&scenario, alg, seed);
+                let shared = point(&artifacts, alg, seed);
                 let ctx = format!("{label}, seed {seed}, {alg:?}");
-                assert_eq!(standalone.finished, shared.finished, "{ctx}");
+                assert_eq!(alone.finished, shared.finished, "{ctx}");
                 assert_eq!(
-                    standalone.simulation_time_ms.to_bits(),
+                    alone.simulation_time_ms.to_bits(),
                     shared.simulation_time_ms.to_bits(),
                     "{ctx}: makespan"
                 );
                 assert_eq!(
-                    standalone.imbalance.to_bits(),
+                    alone.imbalance.to_bits(),
                     shared.imbalance.to_bits(),
                     "{ctx}: imbalance"
                 );
                 assert_eq!(
-                    standalone.total_cost.to_bits(),
+                    alone.total_cost.to_bits(),
                     shared.total_cost.to_bits(),
                     "{ctx}: cost"
                 );
@@ -205,7 +221,7 @@ fn flat_sweep_matches_pointwise_runs() {
     for (pi, &vms) in points.iter().enumerate() {
         assert_eq!(flat[pi].len(), algorithms.len());
         for (ai, &alg) in algorithms.iter().enumerate() {
-            let lone = run_point_on(&make(vms), alg, seed, EngineKind::Sequential);
+            let lone = standalone(&make(vms), alg, seed);
             let got = &flat[pi][ai];
             let ctx = format!("{vms} VMs, {alg:?}");
             assert_eq!(got.algorithm, alg, "{ctx}");

@@ -6,10 +6,11 @@ use biosched::prelude::*;
 
 fn small_sweep() -> (Vec<usize>, Vec<Vec<PointResult>>) {
     let points = vec![4usize, 8];
-    let results = sweep(
+    let results = sweep_on(
         &points,
         &[AlgorithmKind::BaseTest, AlgorithmKind::Rbs],
         3,
+        EngineKind::Sequential,
         |vms| {
             HeterogeneousScenario {
                 vm_count: vms,
